@@ -19,10 +19,10 @@ from .io import (
     load_families,
     moments_csv_path,
 )
-from .modular import cached_legendre_table, sieve_primes
+from .modular import sieve_primes
 from .report import run_report
 from .runner import compute_records, run_moments
-from .traces import point_count_oracle, trace_at
+from .traces import MomentRecord, point_count_oracle, traces_mod_p
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -126,6 +126,13 @@ def _parse_modulus(raw: str) -> tuple[int, int, int]:
     return e, f, g
 
 
+def _records_per_family(families, cfg: RunConfig) -> list[list[MomentRecord]]:
+    """S1 and S2 of each family over the window, from one compute_records call."""
+    records = compute_records(families, cfg.start, cfg.end, 2, cfg.workers)
+    n_primes = len(records) // max(1, len(families))
+    return [records[i * n_primes : (i + 1) * n_primes] for i in range(len(families))]
+
+
 def _cmd_discover(args) -> int:
     e, f, g = _parse_modulus(args.modulus)
     cfg = _config(args, r_max=2)
@@ -133,8 +140,7 @@ def _cmd_discover(args) -> int:
         raise ValidationError("modulus exponents out of range: %d,%d,%d" % (e, f, g))
     families = load_families(cfg)
     status = EXIT_OK
-    for fam in families:
-        records = compute_records([fam], cfg.start, cfg.end, 2, cfg.workers)
+    for fam, records in zip(families, _records_per_family(families, cfg)):
         fits = discover(records, e, f, g, robust=args.robust, floor=args.floor)
         verdict = summarize(fits)
         print("family %s: %s (mod %d)" % (fam.name, verdict, 2 ** e * 3 ** f * 5 ** g))
@@ -159,14 +165,16 @@ def _cmd_discover(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _config(args, r_max=2)
     families = load_families(cfg)
+    templated = [fam for fam in families if match_template(fam) is not None]
+    by_name = {fam.name: records
+               for fam, records in zip(templated, _records_per_family(templated, cfg))}
     status = EXIT_OK
     for fam in families:
-        if match_template(fam) is None:
+        if fam.name not in by_name:
             print("family %s: no template, skipped" % (fam.name,))
             continue
-        records = compute_records([fam], cfg.start, cfg.end, 2, cfg.workers)
         try:
-            report = verify_family(fam, records)
+            report = verify_family(fam, by_name[fam.name])
         except NoTemplateError:
             print("family %s: no template, skipped" % (fam.name,))
             continue
@@ -194,12 +202,12 @@ def _cmd_oracle(args) -> int:
     status = EXIT_OK
     for fam in families:
         for p in primes:
-            table = cached_legendre_table(p)
+            traces = traces_mod_p(fam, p)
             ts = range(p) if p <= 61 else sorted(rng.sample(range(p), args.samples))
             bad = []
             for t in ts:
                 fib = fiber_at(fam, t, p)
-                a_t = trace_at(fam, t, p, table)
+                a_t = int(traces[t])
                 if a_t != p - point_count_oracle(fib):
                     bad.append(t)
                 elif discriminant(fib) != 0 and a_t * a_t > 4 * p:

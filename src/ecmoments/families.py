@@ -233,17 +233,20 @@ def match_template(fam: CurveFamily):
 def is_nondegenerate(fam: CurveFamily) -> bool:
     """True when the fiber discriminant is not identically zero.
 
-    Uses 1728 Delta = c4^3 - c6^2 sampled at t = 0..9; any nonzero sample
-    certifies the discriminant polynomial is nonzero.
+    1728 Delta = c4^3 - c6^2, decided as an exact polynomial identity.
     """
     inv = compute_invariants(fam)
-    return any(inv.c4(t) ** 3 - inv.c6(t) ** 2 != 0 for t in range(10))
+    return not (inv.c4 ** 3 - inv.c6 ** 2).is_zero()
 
 
 def has_nonconstant_j(fam: CurveFamily) -> bool:
-    """True when the j-invariant varies with t (cross-multiplied check at t = 0..9)."""
+    """True when the j-invariant 1728 c4^3 / (c4^3 - c6^2) varies with t.
+
+    j is constant exactly when c4^3 and c6^2 are linearly dependent; two
+    nonzero polynomials f, g are when lead(g) f = lead(f) g.
+    """
     inv = compute_invariants(fam)
-    vals = [(inv.c4(t) ** 3, inv.c4(t) ** 3 - inv.c6(t) ** 2) for t in range(10)]
-    return any(
-        n1 * d2 != n2 * d1 for i, (n1, d1) in enumerate(vals) for (n2, d2) in vals[i + 1 :]
-    )
+    f, g = inv.c4 ** 3, inv.c6 ** 2
+    if f.is_zero() or g.is_zero():
+        return False
+    return g.coeffs[-1] * f != f.coeffs[-1] * g

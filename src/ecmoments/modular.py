@@ -100,12 +100,13 @@ def build_legendre_table(p: int) -> LegendreTable:
     return LegendreTable(p, chi)
 
 
-# Cached tables back the scalar sum evaluators and the trace engine. Bounded so a
-# stray huge modulus cannot allocate an O(p) table.
+# Cached tables back the scalar sum evaluators and the trace engine. The scalar
+# evaluators build none past _TABLE_CACHE_LIMIT, and the cache keeps only recent
+# primes: callers sweep primes in order, and a table is O(p) to rebuild.
 _TABLE_CACHE_LIMIT = 1 << 20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def cached_legendre_table(p: int) -> LegendreTable:
     return build_legendre_table(p)
 

@@ -1,4 +1,4 @@
-"""Parallel moment computation over (family, prime) tasks, with CSV resume."""
+"""Parallel moment computation, one task per prime, with CSV resume."""
 
 from __future__ import annotations
 
@@ -18,9 +18,29 @@ from .modular import sieve_primes
 from .traces import MomentRecord, moment_sums
 
 
-def _compute_one(task) -> MomentRecord:
-    fam, p, r_max = task
-    return moment_sums(fam, p, r_max)
+def _prime_task(task) -> list[MomentRecord]:
+    families, p, r_max = task
+    return [moment_sums(fam, p, r_max) for fam in families]
+
+
+def _compute_missing(
+    families: list[CurveFamily], missing: dict[int, list[int]], r_max: int, workers: int
+) -> dict[tuple[int, int], MomentRecord]:
+    """Records keyed by (family position, p) for every p -> family positions in `missing`.
+
+    One task per prime covers all of that prime's families, so the prime's
+    trace tables are built once and shared. Each S_r is an exact integer, so
+    the records are identical for any worker count.
+    """
+    keys = [(i, p) for p, positions in missing.items() for i in positions]
+    tasks = [([families[i] for i in positions], p, r_max) for p, positions in missing.items()]
+    if workers <= 1 or len(tasks) <= 1:
+        results = [_prime_task(t) for t in tasks]
+    else:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_prime_task, tasks, chunksize=chunk))
+    return dict(zip(keys, (rec for recs in results for rec in recs)))
 
 
 def compute_records(
@@ -28,16 +48,12 @@ def compute_records(
 ) -> list[MomentRecord]:
     """MomentRecords for prime indices start..end (1-based, inclusive), every family.
 
-    Primes are distributed across worker processes; each S_r is an exact
-    integer, so the assembled output is identical for any worker count.
+    Family-major order: all primes of the first family, then the next.
     """
     primes = sieve_primes(end)[start - 1 : end]
-    tasks = [(fam, p, r_max) for fam in families for p in primes]
-    if workers <= 1 or len(tasks) <= 1:
-        return [_compute_one(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_compute_one, tasks, chunksize=chunk))
+    everything = {p: list(range(len(families))) for p in primes} if families else {}
+    done = _compute_missing(families, everything, r_max, workers)
+    return [done[(i, p)] for i in range(len(families)) for p in primes]
 
 
 def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
@@ -70,22 +86,13 @@ def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
             else:
                 print("warning: dropping CSV rows for unknown family %r" % (rec.family,),
                       file=sys.stderr)
-    todo_families = []
-    todo_pairs = set()
-    for fam in families:
-        missing = [p for p in primes if (fam.name, p) not in have]
-        if missing:
-            todo_families.append((fam, missing))
-            todo_pairs.update((fam.name, p) for p in missing)
-    tasks = [(fam, p, config.r_max) for fam, missing in todo_families for p in missing]
-    if config.workers <= 1 or len(tasks) <= 1:
-        computed = [_compute_one(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            computed = list(pool.map(_compute_one, tasks, chunksize=chunk))
-    for rec in computed:
-        have[(rec.family, rec.p)] = rec
+    missing = {}
+    for p in primes:
+        positions = [i for i, fam in enumerate(families) if (fam.name, p) not in have]
+        if positions:
+            missing[p] = positions
+    for (i, p), rec in _compute_missing(families, missing, config.r_max, config.workers).items():
+        have[(families[i].name, p)] = rec
     ordered = [have[(fam.name, p)] for fam in families for p in primes]
     write_moments_csv(path, ordered, config.r_max)
     return path, ordered

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .families import CurveFamily, Fiber, compute_invariants, fiber_at
 from .modular import LegendreTable, cached_legendre_table, prime_index_of
-
-# elements per temporary block in the t-x sweep; bounds peak memory, not results
-_CHUNK = 1 << 22
 
 
 def trace_at(fam: CurveFamily, t: int, p: int, table: LegendreTable) -> int:
@@ -47,8 +45,105 @@ def _eval_poly_mod(coeffs: tuple[int, ...], ts: np.ndarray, p: int) -> np.ndarra
     return acc
 
 
+@dataclass(frozen=True, eq=False)
+class TraceTables:
+    """Every trace mod p, read off three tables (see trace_tables).
+
+    ss[s] = a(s, s), zero_b[B] = a(0, B) and a_zero[A] = a(A, 0), where
+    a(A, B) = -sum over x mod p of chi(x^3 + A x + B); inv[x] = 1/x mod p
+    with inv[0] = 0.
+    """
+
+    p: int
+    ss: np.ndarray
+    zero_b: np.ndarray
+    a_zero: np.ndarray
+    inv: np.ndarray
+
+
+def _inverse_table(p: int) -> np.ndarray:
+    """x^(p-2) mod p for every x mod p, by vectorised square-and-multiply."""
+    out = np.ones(p, dtype=np.int64)
+    base = np.arange(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _correlate_with_chi(weights: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """C[i, s] = sum over v of weights[i, v] chi[(v + s) mod p], exactly, by one real FFT.
+
+    The transform length is a power of two at least 2p - 1, so the cyclic
+    correlation of weights with chi||chi has no wraparound on s < p. The
+    result is an integer; a value further than 0.25 from one means float64
+    did not carry it, and raises ArithmeticError.
+    """
+    p = len(chi)
+    n = 1 << (2 * p - 1).bit_length()
+    chi2 = np.concatenate([chi, chi[:-1]]).astype(np.float64)
+    spec = np.conj(np.fft.rfft(weights, n)) * np.fft.rfft(chi2, n)
+    raw = np.fft.irfft(spec, n)[:, :p]
+    out = np.rint(raw)
+    err = float(np.abs(raw - out).max())
+    if err > 0.25:
+        raise ArithmeticError("FFT correlation at p=%d is off an integer by %.3g" % (p, err))
+    return out.astype(np.int64)
+
+
+# 32p bytes per prime; callers work one prime at a time, so two entries suffice
+@lru_cache(maxsize=2)
+def trace_tables(p: int) -> TraceTables:
+    """The tables behind every trace mod p, in O(p log p).
+
+    A twist (A, B) -> (d^2 A, d^3 B) multiplies a(A, B) by chi(d); with
+    d = B/A it carries (s, s), s = A^3/B^2, to (A, B), so for AB != 0
+    a(A, B) = chi(AB) a(s, s). Each table is a correlation of chi with a weight:
+    writing x^3 + s(x + 1) = (x + 1)(v + s) with v = x^3/(x + 1) for x != -1,
+
+        -a(s, s) = chi(-1) + sum_v W(v) chi(v + s),  W(v) = sum_{x^3/(x+1) = v} chi(x + 1),
+        -a(0, B) = sum_u N3(u) chi(u + B),           N3(u) = #{x : x^3 = u},
+        -a(A, 0) = sum_w M(w) chi(w + A),            M(w) = sum_{x^2 = w} chi(x).
+    """
+    chi = cached_legendre_table(p).chi.astype(np.int64)
+    inv = _inverse_table(p)
+    xs = np.arange(p, dtype=np.int64)
+    sq = xs * xs % p
+    cube = sq * xs % p
+    y = xs[1:]  # y = x + 1 over x != -1
+    v = (y - 1) * (y - 1) % p * (y - 1) % p * inv[y] % p
+    weights = np.stack([
+        np.bincount(v, weights=chi[y], minlength=p),
+        np.bincount(cube, minlength=p),
+        np.bincount(sq, weights=chi, minlength=p),
+    ])
+    corr = _correlate_with_chi(weights, chi)
+    ss, zero_b, a_zero = -corr
+    ss -= chi[p - 1]
+    for arr in (ss, zero_b, a_zero, inv):
+        arr.setflags(write=False)
+    return TraceTables(p, ss, zero_b, a_zero, inv)
+
+
+def short_traces(a: np.ndarray, b: np.ndarray, table: LegendreTable) -> np.ndarray:
+    """a(A, B) = -sum over x of chi(x^3 + A x + B), elementwise over int64 A, B in [0, p)."""
+    p = table.p
+    tt = trace_tables(p)
+    ib = tt.inv[b]
+    s = a * a % p * a % p * ib % p * ib % p
+    out = table.chi[a * b % p] * tt.ss[s]
+    on_a0 = a == 0
+    out[on_a0] = tt.zero_b[b[on_a0]]
+    on_b0 = b == 0
+    out[on_b0] = tt.a_zero[a[on_b0]]
+    return out
+
+
 def traces_mod_p(fam: CurveFamily, p: int, table: LegendreTable | None = None) -> np.ndarray:
-    """All traces a_t(p) for t = 0..p-1, as an int64 array."""
+    """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
     if table is None:
         table = cached_legendre_table(p)
     elif table.p != p:
@@ -57,24 +152,7 @@ def traces_mod_p(fam: CurveFamily, p: int, table: LegendreTable | None = None) -
     ts = np.arange(p, dtype=np.int64)
     a = (-27 * _eval_poly_mod(inv.c4.coeffs, ts, p)) % p
     b = (-54 * _eval_poly_mod(inv.c6.coeffs, ts, p)) % p
-    xs = np.arange(p, dtype=np.int64)
-    cube = (xs * xs % p) * xs % p
-    if p <= 46340:  # p^2 - 1 fits int32, halving the sweep's memory traffic
-        dtype = np.int32
-    else:
-        dtype = np.int64
-    a = a.astype(dtype)
-    b = b.astype(dtype)
-    xs = xs.astype(dtype)
-    cube = cube.astype(dtype)
-    chi = table.chi
-    out = np.empty(p, dtype=np.int64)
-    step = max(1, _CHUNK // p)
-    for lo in range(0, p, step):
-        hi = min(p, lo + step)
-        idx = (a[lo:hi, None] * xs[None, :] + (cube[None, :] + b[lo:hi, None])) % p
-        out[lo:hi] = chi[idx].sum(axis=1, dtype=np.int64)
-    return -out
+    return short_traces(a, b, table)
 
 
 @dataclass(frozen=True)

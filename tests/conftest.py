@@ -20,7 +20,7 @@ def corpus_families():
 def corpus_records(corpus_families):
     """Exact S_1..S_7 for every corpus family over the 300-prime window.
 
-    Computed once per session (roughly half a minute); every acceptance
+    Computed once per session (about a second); every acceptance
     criterion that consumes moment data slices this grid.
     """
     return compute_records(

@@ -31,6 +31,7 @@ from ecmoments import (
     sieve_primes,
     summarize,
     trace_at,
+    traces_mod_p,
     verify_family,
     write_moments_csv,
 )
@@ -89,16 +90,19 @@ def test_criterion_01_legendre_sum_lemmas_exhaustive_to_97():
 
 
 def test_criterion_02_trace_oracle_exhaustive_to_61(corpus_families):
-    """trace_at == p - brute point count: every family, every odd p <= 61, every t."""
+    """trace_at and traces_mod_p == p - brute point count: every family, odd p <= 61, every t."""
     n = 0
     for p in [q for q in sieve_primes(18) if 2 < q <= 61]:
         table = cached_legendre_table(p)
         for fam in corpus_families:
+            engine = traces_mod_p(fam, p)
             for t in range(p):
-                fib = fiber_at(fam, t, p)
-                assert trace_at(fam, t, p, table) == p - point_count_oracle(fib), (fam.name, p, t)
+                expected = p - point_count_oracle(fiber_at(fam, t, p))
+                assert trace_at(fam, t, p, table) == expected, (fam.name, p, t)
+                assert engine[t] == expected, (fam.name, p, t)
                 n += 1
-    _gate("criterion 2", True, "%d fibers, trace == p - #points with zero tolerance" % n)
+    _gate("criterion 2", True,
+          "%d fibers, trace_at and traces_mod_p == p - #points with zero tolerance" % n)
 
 
 def test_criterion_03_closed_forms_exact_to_200th_prime(corpus_families, records_by_family):

@@ -224,6 +224,17 @@ def test_nondegeneracy():
     assert not is_nondegenerate(family("cusp", 0, 0, 0, -3, 2))
 
 
+def test_degeneracy_is_decided_exactly():
+    # every sample t = 0..9 of a6 = t (t - 1) ... (t - 9) is zero
+    a6 = T
+    for k in range(1, 10):
+        a6 = a6 * (T - k)
+    vanishing = family("vanishing", 0, 0, 0, 0, a6)
+    assert is_nondegenerate(vanishing)
+    assert not has_nonconstant_j(vanishing)  # c4 = 0: j is 0 on every fiber
+    assert has_nonconstant_j(family("vanishing_j", 0, 0, 0, a6, 1))
+
+
 def test_has_nonconstant_j():
     for name in ("1_0_0_-1_t", "0_0_0_-t2_t4", "1_t_-19_-t-1_0"):
         assert has_nonconstant_j(corpus_family(name)), name

@@ -17,6 +17,7 @@ from ecmoments import (
     compute_records,
     corpus_family,
     emit_histogram_svg,
+    family,
     family_file_text,
     moment_sums,
     parse_family_file,
@@ -27,6 +28,7 @@ from ecmoments import (
     write_moments_csv,
 )
 from ecmoments.cli import main
+from ecmoments.families import T
 from ecmoments.io import atomic_write_text, moments_csv_path, moments_csv_text
 from ecmoments.traces import MomentRecord
 
@@ -241,6 +243,21 @@ def test_run_moments_and_resume(tmp_path, family_file, capsys):
         run_moments(dataclasses.replace(cfg, r_max=4, resume=True))
 
 
+def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file):
+    cfg = RunConfig(families_path=family_file, start=3, end=14, r_max=4,
+                    out_dir=str(tmp_path / "out"))
+    path, _ = run_moments(cfg)
+    fresh = open(path, encoding="utf-8").read()
+    lines = fresh.splitlines(keepends=True)
+    # drop rows of both families at different primes, a prime that loses both
+    kept = [line for i, line in enumerate(lines) if i not in (2, 5, 6, 9, 14, 17, 21)]
+    open(path, "w", encoding="utf-8").write("".join(kept))
+    for workers in (1, 3):
+        run_moments(dataclasses.replace(cfg, resume=True, workers=workers))
+        assert open(path, encoding="utf-8").read() == fresh
+        open(path, "w", encoding="utf-8").write("".join(kept))
+
+
 def test_run_moments_deterministic_across_workers(tmp_path, family_file):
     texts = []
     for workers in (1, 3):
@@ -376,6 +393,49 @@ def test_cli_oracle(family_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "family fam_a p=5: OK (5 fibers)" in out
     assert "family fam_b p=7: OK (7 fibers)" in out
+
+
+def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, capsys):
+    import ecmoments.cli as cli
+
+    real = cli.traces_mod_p
+    monkeypatch.setattr(cli, "traces_mod_p", lambda fam, p: real(fam, p) + 1)
+    rc = main(["oracle", "--families", family_file, "--start", "3", "--end", "3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "family fam_a p=5: FAIL at t=[0, 1, 2, 3, 4]" in capsys.readouterr().out
+
+
+def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
+    import ecmoments.cli as cli
+
+    calls = []
+    real = cli.compute_records
+
+    def counted(families, *args):
+        calls.append(len(families))
+        return real(families, *args)
+
+    monkeypatch.setattr(cli, "compute_records", counted)
+    window = ["--start", "3", "--end", "12", "--threads", "2", "--out", str(tmp_path)]
+    assert main(["verify"] + window) == 0
+    assert main(["discover", "--modulus", "2,0,0"] + window) in (0, 2)
+    assert calls == [14, 16]  # the template families, then every corpus family
+    out = capsys.readouterr().out
+    assert out.count("no template, skipped") == 2
+    assert out.count(", 10 primes exact") == 14
+
+
+def test_moments_accepts_family_with_many_zero_samples(tmp_path, capsys):
+    # a6 = t (t - 1) ... (t - 9) vanishes at t = 0..9, yet the family is nondegenerate
+    a6 = T
+    for k in range(1, 10):
+        a6 = a6 * (T - k)
+    path = tmp_path / "vanishing.json"
+    path.write_text(family_file_text([family("vanishing", 0, 0, 0, 0, a6)]), encoding="utf-8")
+    assert main(["moments", "--families", str(path), "--start", "3", "--end", "8",
+                 "--out", str(tmp_path)]) == 0
+    assert "wrote 6 records" in capsys.readouterr().out
 
 
 def test_cli_error_exits(tmp_path, capsys):

@@ -5,6 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from direct_sweep import direct_short_traces, direct_traces
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecmoments import (
     cached_legendre_table,
@@ -14,12 +17,21 @@ from ecmoments import (
     discriminant,
     moment_sums,
     point_count_oracle,
+    rank6_family,
+    sieve_primes,
     sym_sum,
     trace_at,
     traces_mod_p,
 )
 from ecmoments.families import Fiber
-from ecmoments.traces import _exact_sum, _sums_from_traces
+from ecmoments.traces import (
+    _correlate_with_chi,
+    _exact_sum,
+    _inverse_table,
+    _sums_from_traces,
+    short_traces,
+    trace_tables,
+)
 
 
 # --------------------------------------------------------------------- traces
@@ -85,6 +97,73 @@ def test_traces_mod_p_matches_scalar():
             assert len(vec) == p
             for t in rng.sample(range(p), min(p, 12)):
                 assert int(vec[t]) == trace_at(fam, t, p, table)
+
+
+# --------------------------------------------------------------- trace tables
+
+
+def test_short_traces_exhaustive_to_127():
+    """Table lookup equals the direct character sum at every (A, B), odd p <= 127."""
+    for p in [q for q in sieve_primes(31) if 2 < q <= 127]:
+        grid = np.arange(p * p, dtype=np.int64)
+        a, b = grid // p, grid % p
+        got = short_traces(a, b, cached_legendre_table(p))
+        assert np.array_equal(got, direct_short_traces(a, b, p)), p
+
+
+def _small_poly(max_degree):
+    return st.lists(st.integers(-6, 6), max_size=max_degree + 1)
+
+
+# general shapes, plus y^2 = x^3 + a6(t) (c4 = 0, j = 0) and y^2 = x^3 + a4(t) x
+# (c6 = 0, j = 1728), whose fibers all sit on the tables' special lines
+_families = st.one_of(
+    st.builds(lambda *a: family("gen", *a), _small_poly(0), _small_poly(1), _small_poly(0),
+              _small_poly(3), _small_poly(4)),
+    st.builds(lambda a6: family("j0", 0, 0, 0, 0, a6), _small_poly(4)),
+    st.builds(lambda a4: family("j1728", 0, 0, 0, a4, 0), _small_poly(3)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fam=_families, p=st.sampled_from([q for q in sieve_primes(46) if q > 2]))
+def test_traces_mod_p_matches_direct_sweep(fam, p):
+    assert np.array_equal(traces_mod_p(fam, p), direct_traces(fam, p))
+
+
+@pytest.mark.parametrize("fam", [rank6_family(), corpus_family("0_0_0_-t2_t4")],
+                         ids=lambda f: f.name)
+def test_traces_mod_p_large_prime_matches_direct_sweep(fam):
+    assert np.array_equal(traces_mod_p(fam, 10007), direct_traces(fam, 10007))
+
+
+def test_trace_tables_special_lines():
+    tt = trace_tables(101)
+    assert tt.zero_b[0] == tt.a_zero[0] == 0  # a(0, 0) = -sum chi(x^3) = 0
+    assert tt.ss.dtype == tt.zero_b.dtype == tt.a_zero.dtype == np.int64
+    assert not tt.ss.flags.writeable
+
+
+def test_inverse_table():
+    for p in (3, 5, 101, 10007):
+        inv = _inverse_table(p)
+        assert inv[0] == 0
+        assert np.all(np.arange(1, p) * inv[1:] % p == 1)
+
+
+def test_correlation_rejects_inexact_float():
+    # a constant weight correlates to exactly 0, but at 2^52 the transform's
+    # rounding error reaches the units place
+    p = 101
+    weights = np.full((1, p), float(1 << 52))
+    with pytest.raises(ArithmeticError):
+        _correlate_with_chi(weights, cached_legendre_table(p).chi)
+
+
+def test_trace_caches_are_bounded():
+    for cache in (cached_legendre_table, trace_tables):
+        assert cache.cache_info().maxsize is not None
+        cache.cache_clear()  # functools caches, so callers can reset them
 
 
 def test_trace_periodicity_in_t():
