@@ -39,11 +39,8 @@ from .families import (
     discriminant,
     family,
     fiber_at,
-    has_nonconstant_j,
     is_nondegenerate,
-    j_invariant,
     match_template,
-    medium_weierstrass,
     poly,
 )
 from .io import (
@@ -59,7 +56,6 @@ from .modular import (
     LegendreTable,
     build_legendre_table,
     cached_legendre_table,
-    is_prime,
     legendre_symbol,
     linear_legendre_sum,
     prime_index_of,
@@ -71,11 +67,8 @@ from .runner import compute_records, run_moments
 from .svg import emit_histogram_svg
 from .traces import (
     MomentRecord,
-    SymSumRecord,
     moment_sums,
     point_count_oracle,
-    sym_sum,
-    trace_at,
     traces_mod_p,
 )
 

@@ -81,13 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(args, r_max=7, resume=False, block=50, exponent="3/2") -> RunConfig:
+def _config(args, r_max=7, resume=False, block=50, exponent="3/2", modulus=(4, 3, 1)) -> RunConfig:
     cfg = RunConfig(
         families_path=args.families,
         start=args.start,
         end=args.end,
         r_max=r_max,
         block_size=block,
+        modulus_exponents=modulus,
         exponent2=Fraction(1) if exponent == "1" else Fraction(3, 2),
         out_dir=args.out,
         workers=args.threads,
@@ -134,10 +135,8 @@ def _records_per_family(families, cfg: RunConfig) -> list[list[MomentRecord]]:
 
 
 def _cmd_discover(args) -> int:
-    e, f, g = _parse_modulus(args.modulus)
-    cfg = _config(args, r_max=2)
-    if not (0 <= e <= 4 and 0 <= f <= 3 and 0 <= g <= 1):
-        raise ValidationError("modulus exponents out of range: %d,%d,%d" % (e, f, g))
+    cfg = _config(args, r_max=2, modulus=_parse_modulus(args.modulus))
+    e, f, g = cfg.modulus_exponents
     families = load_families(cfg)
     status = EXIT_OK
     for fam, records in zip(families, _records_per_family(families, cfg)):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .families import CurveFamily, Template1, Template2, Template3, match_template
-from .modular import _chi, _check_odd_prime_modulus
+from .modular import _check_odd_prime_modulus, cached_legendre_table, legendre_symbol
 from .traces import MomentRecord
 
 
@@ -34,9 +36,9 @@ def template1_predict(a: int, b: int, d: int, p: int) -> ClosedFormPrediction:
     # The degenerate branch is governed by p | (a^2 - 12b), not by integer
     # vanishing: the inner quadratic character sum has discriminant 256 disc.
     if disc % p != 0:
-        s2 = p * p - p - p * _chi(-48, p) - p * _chi(disc, p)
+        s2 = p * p - p - p * legendre_symbol(-48, p) - p * legendre_symbol(disc, p)
     else:
-        s2 = p * p - p + p * (p - 1) * _chi(-48, p)
+        s2 = p * p - p + p * (p - 1) * legendre_symbol(-48, p)
     return ClosedFormPrediction(p, p > max(3, 4 * abs(d)), 0, s2)
 
 
@@ -61,7 +63,8 @@ def cubic_char_sum(p: int) -> int:
     Vanishes whenever p = 3 mod 4 (the summand is odd under x -> -x there).
     """
     _check_odd_prime_modulus(p)
-    return sum(_chi(x * x % p * x - x, p) for x in range(p))
+    x = np.arange(p, dtype=np.int64)
+    return int(cached_legendre_table(p).chi[(x * x % p * x - x) % p].sum(dtype=np.int64))
 
 
 def template3_predict(p: int) -> ClosedFormPrediction:
@@ -73,7 +76,7 @@ def template3_predict(p: int) -> ClosedFormPrediction:
         raise ValueError("closed form needs p > 3, got %r" % (p,))
     _check_odd_prime_modulus(p)
     square = cubic_char_sum(p)
-    s2 = p * p - p - p * _chi(-3, p) - p * _chi(12, p) - square * square
+    s2 = p * p - p - p * legendre_symbol(-3, p) - p * legendre_symbol(12, p) - square * square
     return ClosedFormPrediction(p, True, -2 * p, s2)
 
 

@@ -127,7 +127,6 @@ class Invariants:
     b2: IntPolynomial
     b4: IntPolynomial
     b6: IntPolynomial
-    b8: IntPolynomial
     c4: IntPolynomial
     c6: IntPolynomial
 
@@ -139,16 +138,9 @@ def compute_invariants(fam: CurveFamily) -> Invariants:
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
-    return Invariants(b2, b4, b6, b8, c4, c6)
-
-
-def medium_weierstrass(fam: CurveFamily) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
-    """Coefficients (b2, 2 b4, b6) of the completed-square model y^2 = 4x^3 + ..."""
-    inv = compute_invariants(fam)
-    return inv.b2, 2 * inv.b4, inv.b6
+    return Invariants(b2, b4, b6, c4, c6)
 
 
 @dataclass(frozen=True)
@@ -173,14 +165,6 @@ def fiber_at(fam: CurveFamily, t: int, p: int) -> Fiber:
 def discriminant(fiber: Fiber) -> int:
     """(-16 (4 A^3 + 27 B^2)) mod p; zero exactly on singular fibers."""
     return (-16 * (4 * fiber.A ** 3 + 27 * fiber.B ** 2)) % fiber.p
-
-
-def j_invariant(fiber: Fiber) -> int | None:
-    """6912 A^3 / (4 A^3 + 27 B^2) mod p, or None when the fiber is singular."""
-    den = (4 * fiber.A ** 3 + 27 * fiber.B ** 2) % fiber.p
-    if den == 0:
-        return None
-    return 6912 * fiber.A ** 3 * pow(den, -1, fiber.p) % fiber.p
 
 
 @dataclass(frozen=True)
@@ -216,7 +200,8 @@ def match_template(fam: CurveFamily):
     """
     if (fam.a1.coeffs, fam.a2.coeffs, fam.a3.coeffs, fam.a4.coeffs, fam.a6.coeffs) == _T3_COEFFS:
         return Template3()
-    b2, twob4, b6 = medium_weierstrass(fam)
+    inv = compute_invariants(fam)  # medium form y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    b2, twob4, b6 = inv.b2, 2 * inv.b4, inv.b6
     if b2.is_constant() and twob4.is_constant() and b6.degree == 1:
         return Template1(b2.coeff(0), twob4.coeff(0), b6.coeff(0), b6.coeff(1))
     if (
@@ -237,16 +222,3 @@ def is_nondegenerate(fam: CurveFamily) -> bool:
     """
     inv = compute_invariants(fam)
     return not (inv.c4 ** 3 - inv.c6 ** 2).is_zero()
-
-
-def has_nonconstant_j(fam: CurveFamily) -> bool:
-    """True when the j-invariant 1728 c4^3 / (c4^3 - c6^2) varies with t.
-
-    j is constant exactly when c4^3 and c6^2 are linearly dependent; two
-    nonzero polynomials f, g are when lead(g) f = lead(f) g.
-    """
-    inv = compute_invariants(fam)
-    f, g = inv.c4 ** 3, inv.c6 ** 2
-    if f.is_zero() or g.is_zero():
-        return False
-    return g.coeffs[-1] * f != f.coeffs[-1] * g

@@ -6,6 +6,7 @@ import csv
 import io as _io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -184,7 +185,7 @@ def write_moments_csv(path, records: list[MomentRecord], r_max: int) -> None:
 
 
 def read_moments_csv(path) -> tuple[int, list[MomentRecord]]:
-    """Read a moments CSV; a malformed final row (interrupted write) is dropped.
+    """Read a moments CSV; a malformed final row is dropped with a warning on stderr.
 
     Returns (r_max, records). Malformed rows anywhere else are errors, as are
     absent or misnamed columns.
@@ -207,7 +208,9 @@ def read_moments_csv(path) -> tuple[int, list[MomentRecord]]:
                 MomentRecord(row[0], int(row[1]), int(row[2]), tuple(int(v) for v in row[3:]))
             )
         except ValueError:
-            if line_no == len(rows):  # truncated tail from an interrupted run
+            if line_no == len(rows):
+                print("warning: %s: dropped malformed final row at line %d" % (path, line_no),
+                      file=sys.stderr)
                 break
             raise ValidationError("%s: malformed row at line %d" % (path, line_no)) from None
     return r_max, records

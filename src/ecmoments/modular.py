@@ -9,32 +9,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers all n below 3.3e24."""
-    if n < 2:
-        return False
-    for q in _MR_WITNESSES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def sieve_primes(count: int) -> list[int]:
     """First `count` primes, ascending, by sieve of Eratosthenes."""
     if count < 1:
@@ -100,28 +74,17 @@ def build_legendre_table(p: int) -> LegendreTable:
     return LegendreTable(p, chi)
 
 
-# Cached tables back the scalar sum evaluators and the trace engine. The scalar
-# evaluators build none past _TABLE_CACHE_LIMIT, and the cache keeps only recent
-# primes: callers sweep primes in order, and a table is O(p) to rebuild.
-_TABLE_CACHE_LIMIT = 1 << 20
-
-
 @lru_cache(maxsize=16)
 def cached_legendre_table(p: int) -> LegendreTable:
+    """build_legendre_table(p), kept for the 16 most recently used primes."""
     return build_legendre_table(p)
-
-
-def _chi(a: int, p: int) -> int:
-    if p <= _TABLE_CACHE_LIMIT:
-        return int(cached_legendre_table(p).chi[a % p])
-    return legendre_symbol(a, p)
 
 
 def linear_legendre_sum(a: int, b: int, p: int) -> int:
     """sum over x mod p of chi(a x + b): p * chi(b) when p | a, else 0."""
     _check_odd_prime_modulus(p)
     if a % p == 0:
-        return p * _chi(b, p)
+        return p * legendre_symbol(b, p)
     return 0
 
 
@@ -135,5 +98,5 @@ def quadratic_legendre_sum(a: int, b: int, c: int, p: int) -> int:
     if a % p == 0:
         return linear_legendre_sum(b, c, p)
     if (b * b - 4 * a * c) % p == 0:
-        return (p - 1) * _chi(a, p)
-    return -_chi(a, p)
+        return (p - 1) * legendre_symbol(a, p)
+    return -legendre_symbol(a, p)

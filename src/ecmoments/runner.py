@@ -80,12 +80,19 @@ def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
                 % (path, file_r_max, config.r_max)
             )
         names = {fam.name for fam in families}
+        window = set(primes)
+        outside = 0
         for rec in existing:
-            if rec.family in names:
-                have[(rec.family, rec.p)] = rec
-            else:
+            if rec.family not in names:
                 print("warning: dropping CSV rows for unknown family %r" % (rec.family,),
                       file=sys.stderr)
+            elif rec.p in window:
+                have[(rec.family, rec.p)] = rec
+            else:
+                outside += 1
+        if outside:
+            print("warning: dropping %d CSV rows outside prime indices %d..%d"
+                  % (outside, config.start, config.end), file=sys.stderr)
     missing = {}
     for p in primes:
         positions = [i for i, fam in enumerate(families) if (fam.name, p) not in have]

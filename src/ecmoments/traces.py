@@ -2,32 +2,19 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .families import CurveFamily, Fiber, compute_invariants, fiber_at
-from .modular import LegendreTable, cached_legendre_table, prime_index_of
-
-
-def trace_at(fam: CurveFamily, t: int, p: int, table: LegendreTable) -> int:
-    """a_t(p) = -sum over x mod p of chi(x^3 + A x + B) for the fiber at t."""
-    if table.p != p:
-        raise ValueError("table is for p=%d, need p=%d" % (table.p, p))
-    fib = fiber_at(fam, t, p)
-    chi = table.chi
-    acc = 0
-    for x in range(p):
-        acc += int(chi[(x * x % p * x + fib.A * x + fib.B) % p])
-    return -acc
+from .families import CurveFamily, Fiber, compute_invariants
+from .modular import cached_legendre_table, prime_index_of
 
 
 def point_count_oracle(fiber: Fiber) -> int:
     """Count affine (x, y) with y^2 = x^3 + A x + B mod p by exhaustive enumeration.
 
-    Independent of the character machinery; trace_at must equal p minus this.
+    Independent of the character machinery; traces_mod_p must equal p minus this.
     """
     p, a, b = fiber.p, fiber.A, fiber.B
     squares = [y * y % p for y in range(p)]
@@ -50,11 +37,12 @@ class TraceTables:
     """Every trace mod p, read off three tables (see trace_tables).
 
     ss[s] = a(s, s), zero_b[B] = a(0, B) and a_zero[A] = a(A, 0), where
-    a(A, B) = -sum over x mod p of chi(x^3 + A x + B); inv[x] = 1/x mod p
-    with inv[0] = 0.
+    a(A, B) = -sum over x mod p of chi(x^3 + A x + B); chi[x] = (x|p) and
+    inv[x] = 1/x mod p with inv[0] = 0.
     """
 
     p: int
+    chi: np.ndarray
     ss: np.ndarray
     zero_b: np.ndarray
     a_zero: np.ndarray
@@ -94,7 +82,7 @@ def _correlate_with_chi(weights: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
-# 32p bytes per prime; callers work one prime at a time, so two entries suffice
+# 40p bytes per prime; callers work one prime at a time, so two entries suffice
 @lru_cache(maxsize=2)
 def trace_tables(p: int) -> TraceTables:
     """The tables behind every trace mod p, in O(p log p).
@@ -123,18 +111,17 @@ def trace_tables(p: int) -> TraceTables:
     corr = _correlate_with_chi(weights, chi)
     ss, zero_b, a_zero = -corr
     ss -= chi[p - 1]
-    for arr in (ss, zero_b, a_zero, inv):
+    for arr in (chi, ss, zero_b, a_zero, inv):
         arr.setflags(write=False)
-    return TraceTables(p, ss, zero_b, a_zero, inv)
+    return TraceTables(p, chi, ss, zero_b, a_zero, inv)
 
 
-def short_traces(a: np.ndarray, b: np.ndarray, table: LegendreTable) -> np.ndarray:
+def short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a(A, B) = -sum over x of chi(x^3 + A x + B), elementwise over int64 A, B in [0, p)."""
-    p = table.p
     tt = trace_tables(p)
     ib = tt.inv[b]
     s = a * a % p * a % p * ib % p * ib % p
-    out = table.chi[a * b % p] * tt.ss[s]
+    out = tt.chi[a * b % p] * tt.ss[s]
     on_a0 = a == 0
     out[on_a0] = tt.zero_b[b[on_a0]]
     on_b0 = b == 0
@@ -142,17 +129,13 @@ def short_traces(a: np.ndarray, b: np.ndarray, table: LegendreTable) -> np.ndarr
     return out
 
 
-def traces_mod_p(fam: CurveFamily, p: int, table: LegendreTable | None = None) -> np.ndarray:
+def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
     """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
-    if table is None:
-        table = cached_legendre_table(p)
-    elif table.p != p:
-        raise ValueError("table is for p=%d, need p=%d" % (table.p, p))
     inv = compute_invariants(fam)
     ts = np.arange(p, dtype=np.int64)
     a = (-27 * _eval_poly_mod(inv.c4.coeffs, ts, p)) % p
     b = (-54 * _eval_poly_mod(inv.c6.coeffs, ts, p)) % p
-    return short_traces(a, b, table)
+    return short_traces(a, b, p)
 
 
 @dataclass(frozen=True)
@@ -211,32 +194,3 @@ def moment_sums(fam: CurveFamily, p: int, r_max: int = 7) -> MomentRecord:
         raise ValueError("p must be an odd prime")
     traces = traces_mod_p(fam, p)
     return MomentRecord(fam.name, idx, p, _sums_from_traces(traces, r_max))
-
-
-@dataclass(frozen=True)
-class SymSumRecord:
-    p: int
-    k: int
-    value: float
-
-
-def sym_sum(fam: CurveFamily, p: int, k: int) -> SymSumRecord:
-    """sum over fibers of sin((k+1) theta_t) / sin(theta_t), cos(theta_t) = a_t / (2 sqrt p).
-
-    Chebyshev recurrence U_0 = 1, U_1 = 2x, U_k = 2x U_{k-1} - U_{k-2}, with
-    x clamped into [-1, 1] (singular fibers can poke past the Hasse bound).
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative, got %r" % (k,))
-    prime_index_of(p)
-    if p == 2:
-        raise ValueError("p must be an odd prime")
-    traces = traces_mod_p(fam, p)
-    x = np.clip(traces / (2.0 * math.sqrt(p)), -1.0, 1.0)
-    u_prev = np.ones_like(x)
-    if k == 0:
-        return SymSumRecord(p, k, float(u_prev.sum()))
-    u = 2.0 * x
-    for _ in range(k - 1):
-        u_prev, u = u, 2.0 * x * u - u_prev
-    return SymSumRecord(p, k, float(u.sum()))

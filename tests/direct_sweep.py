@@ -2,11 +2,23 @@
 
 import numpy as np
 
-from ecmoments.families import compute_invariants
-from ecmoments.modular import cached_legendre_table
+from ecmoments.families import CurveFamily, compute_invariants, fiber_at
+from ecmoments.modular import LegendreTable, cached_legendre_table
 
 # elements per temporary block of the sweep; bounds memory, not results
 _CHUNK = 1 << 22
+
+
+def trace_at(fam: CurveFamily, t: int, p: int, table: LegendreTable) -> int:
+    """a_t(p) = -sum over x mod p of chi(x^3 + A x + B) for the fiber at t."""
+    if table.p != p:
+        raise ValueError("table is for p=%d, need p=%d" % (table.p, p))
+    fib = fiber_at(fam, t, p)
+    chi = table.chi
+    acc = 0
+    for x in range(p):
+        acc += int(chi[(x * x % p * x + fib.A * x + fib.B) % p])
+    return -acc
 
 
 def direct_short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from direct_sweep import trace_at
 
 from ecmoments import (
     RunConfig,
@@ -30,7 +31,6 @@ from ecmoments import (
     run_moments,
     sieve_primes,
     summarize,
-    trace_at,
     traces_mod_p,
     verify_family,
     write_moments_csv,

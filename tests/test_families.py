@@ -18,11 +18,8 @@ from ecmoments import (
     discriminant,
     family,
     fiber_at,
-    has_nonconstant_j,
     is_nondegenerate,
-    j_invariant,
     match_template,
-    medium_weierstrass,
     poly,
     rank6_family,
 )
@@ -69,7 +66,7 @@ def test_invariants_examples():
     assert (inv.b2, inv.b4, inv.b6) == (poly(1), poly(-2), poly((0, 4)))
     zero = family("zero", 0, 0, 0, 0, 0)
     invz = compute_invariants(zero)
-    assert all(getattr(invz, k).is_zero() for k in ("b2", "b4", "b6", "b8", "c4", "c6"))
+    assert all(getattr(invz, k).is_zero() for k in ("b2", "b4", "b6", "c4", "c6"))
     inv8 = compute_invariants(corpus_family("0_1_1_1_t"))
     assert (inv8.b2, inv8.b4, inv8.b6) == (poly(4), poly(2), poly((1, 4)))
 
@@ -82,13 +79,12 @@ def _random_family(rng, name):
 
 
 def test_invariant_identities_on_random_families():
-    """b8 and c4/c6 reconstruction identities, plus numeric agreement at many t."""
+    """c4/c6 reconstruction identities, plus numeric agreement at many t."""
     rng = random.Random(11)
     fams = [_random_family(rng, "rand%d" % i) for i in range(200)]
     fams += builtin_corpus() + [rank6_family()]
     for fam in fams:
         inv = compute_invariants(fam)
-        assert 4 * inv.b8 == inv.b2 * inv.b6 - inv.b4 * inv.b4
         assert inv.c4 == inv.b2 * inv.b2 - 24 * inv.b4
         assert inv.c6 == -(inv.b2**3) + 36 * inv.b2 * inv.b4 - 216 * inv.b6
         for t in range(-5, 15):
@@ -122,10 +118,16 @@ def test_invariants_match_sympy_symbolically():
 
 
 def test_medium_weierstrass_examples():
-    assert medium_weierstrass(corpus_family("1_0_0_-1_t")) == (poly(1), poly(-4), poly((0, 4)))
-    assert medium_weierstrass(corpus_family("1_-2_0_t_0")) == (poly(-7), poly((0, 4)), poly(0))
+    """The medium form y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 that match_template reads."""
+
+    def medium(fam):
+        inv = compute_invariants(fam)
+        return inv.b2, 2 * inv.b4, inv.b6
+
+    assert medium(corpus_family("1_0_0_-1_t")) == (poly(1), poly(-4), poly((0, 4)))
+    assert medium(corpus_family("1_-2_0_t_0")) == (poly(-7), poly((0, 4)), poly(0))
     zero = family("zero", 0, 0, 0, 0, 0)
-    assert medium_weierstrass(zero) == (poly(0), poly(0), poly(0))
+    assert medium(zero) == (poly(0), poly(0), poly(0))
 
 
 # ---------------------------------------------------------------------- fibers
@@ -165,20 +167,6 @@ def test_discriminant_examples():
     assert discriminant(Fiber(5, 1, 0)) == (-64) % 5 == 1
 
 
-def test_j_invariant_examples():
-    assert j_invariant(Fiber(7, 0, 1)) == 0
-    assert j_invariant(Fiber(7, 1, 0)) == 1728 % 7 == 6
-    assert j_invariant(Fiber(7, 0, 0)) is None
-
-
-def test_singular_iff_j_undefined_exhaustive():
-    for p in (5, 7, 11, 13):
-        for a in range(p):
-            for b in range(p):
-                fib = Fiber(p, a, b)
-                assert (discriminant(fib) == 0) == (j_invariant(fib) is None)
-
-
 # ------------------------------------------------------------------- templates
 
 
@@ -197,7 +185,8 @@ def test_match_template_reconstructs_medium_form():
         tpl = match_template(fam)
         if tpl is None:
             continue
-        b2, twob4, b6 = medium_weierstrass(fam)
+        inv = compute_invariants(fam)
+        b2, twob4, b6 = inv.b2, 2 * inv.b4, inv.b6
         if isinstance(tpl, Template1):
             assert (b2, twob4, b6) == (poly(tpl.a), poly(tpl.b), tpl.c + tpl.d * T)
             assert tpl.d != 0
@@ -231,16 +220,6 @@ def test_degeneracy_is_decided_exactly():
         a6 = a6 * (T - k)
     vanishing = family("vanishing", 0, 0, 0, 0, a6)
     assert is_nondegenerate(vanishing)
-    assert not has_nonconstant_j(vanishing)  # c4 = 0: j is 0 on every fiber
-    assert has_nonconstant_j(family("vanishing_j", 0, 0, 0, a6, 1))
-
-
-def test_has_nonconstant_j():
-    for name in ("1_0_0_-1_t", "0_0_0_-t2_t4", "1_t_-19_-t-1_0"):
-        assert has_nonconstant_j(corpus_family(name)), name
-    # c6 = 0 makes j identically 1728; c4 = 0 makes it identically 0
-    assert not has_nonconstant_j(family("j1728", 0, 0, 0, T * T, 0))
-    assert not has_nonconstant_j(family("j0", 0, 0, 0, 0, T))
 
 
 def test_rank6_family_big_coefficients():

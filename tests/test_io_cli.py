@@ -25,6 +25,7 @@ from ecmoments import (
     read_moments_csv,
     run_moments,
     run_report,
+    sieve_primes,
     write_moments_csv,
 )
 from ecmoments.cli import main
@@ -187,15 +188,17 @@ def test_read_moments_csv_header_errors(tmp_path):
             read_moments_csv(path)
 
 
-def test_read_moments_csv_malformed_rows(tmp_path):
+def test_read_moments_csv_malformed_rows(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("family,prime_index,p,S1\nf,3,5,0\nf,4,oops,0\nf,5,11,0\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         read_moments_csv(path)
-    # but a mangled final row reads as an interrupted write and is dropped
+    # but a mangled final row is dropped, with a warning that names its line
     path.write_text("family,prime_index,p,S1\nf,3,5,0\nf,4,7\n", encoding="utf-8")
     r_max, recs = read_moments_csv(path)
     assert r_max == 1 and recs == [MomentRecord("f", 3, 5, (0,))]
+    assert capsys.readouterr().err == (
+        "warning: %s: dropped malformed final row at line 3\n" % (path,))
 
 
 def test_atomic_write_text(tmp_path):
@@ -241,6 +244,22 @@ def test_run_moments_and_resume(tmp_path, family_file, capsys):
 
     with pytest.raises(ValidationError):
         run_moments(dataclasses.replace(cfg, r_max=4, resume=True))
+
+
+def test_resume_warns_on_rows_outside_the_window(tmp_path, family_file, capsys):
+    out = str(tmp_path / "out")
+    common = ["--families", family_file, "--rmax", "3", "--out", out]
+    assert main(["moments", "--end", "6"] + common) == 0
+    narrow = open(os.path.join(out, "moments.csv"), encoding="utf-8").read()
+    stdout = capsys.readouterr().out
+    assert main(["moments", "--end", "10"] + common) == 0
+    capsys.readouterr()
+    assert main(["moments", "--end", "6", "--resume"] + common) == 0
+    captured = capsys.readouterr()
+    # two families at the four primes of indices 7..10
+    assert captured.err == "warning: dropping 8 CSV rows outside prime indices 3..6\n"
+    assert captured.out == stdout
+    assert open(os.path.join(out, "moments.csv"), encoding="utf-8").read() == narrow
 
 
 def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file):
@@ -424,6 +443,29 @@ def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("no template, skipped") == 2
     assert out.count(", 10 primes exact") == 14
+
+
+def test_verify_builds_each_legendre_table_at_most_twice(monkeypatch, tmp_path, capsys):
+    from collections import Counter
+
+    from ecmoments import modular
+    from ecmoments.traces import trace_tables
+
+    builds = Counter()
+    real = modular.build_legendre_table
+
+    def counted(p):
+        builds[p] += 1
+        return real(p)
+
+    monkeypatch.setattr(modular, "build_legendre_table", counted)
+    modular.cached_legendre_table.cache_clear()
+    trace_tables.cache_clear()
+    assert main(["verify", "--start", "3", "--end", "80", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # once for the prime's trace tables, once for the Template3 character sum
+    assert sorted(builds) == sieve_primes(80)[2:]
+    assert max(builds.values()) <= 2
 
 
 def test_moments_accepts_family_with_many_zero_samples(tmp_path, capsys):

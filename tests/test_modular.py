@@ -1,4 +1,4 @@
-"""Primality, sieving, Legendre tables, and the linear/quadratic sum lemmas."""
+"""Prime sieving, prime indices, Legendre tables, and the linear/quadratic sum lemmas."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import sympy
 
 from ecmoments import (
     build_legendre_table,
-    is_prime,
     legendre_symbol,
     linear_legendre_sum,
     prime_index_of,
@@ -20,22 +19,7 @@ def odd_primes_upto(bound):
     return [p for p in sieve_primes(bound) if 2 < p <= bound]
 
 
-# ---------------------------------------------------------------- primality
-
-
-def test_is_prime_matches_sympy_exhaustive():
-    for n in range(-3, 5000):
-        assert is_prime(n) == sympy.isprime(n), n
-
-
-def test_is_prime_large_inputs():
-    assert is_prime(2**61 - 1)  # Mersenne prime
-    assert not is_prime(2**61 + 1)
-    assert is_prime(10**18 + 9)
-    assert not is_prime(10**18 + 7)
-    # Carmichael numbers fool Fermat tests, not Miller-Rabin
-    for n in (561, 1105, 1729, 41041, 825265):
-        assert not is_prime(n), n
+# ------------------------------------------------------------------ primes
 
 
 def test_sieve_primes_examples():
@@ -62,6 +46,16 @@ def test_prime_index_of():
     for n in (0, 1, 4, 100, 1001):
         with pytest.raises(ValueError):
             prime_index_of(n)
+
+
+def test_is_prime_matches_sympy_exhaustive():
+    """prime_index_of decides primality: it raises on every non-prime, Carmichael numbers included."""
+    for n in list(range(-3, 5000)) + [561, 1105, 1729, 41041, 825265]:
+        if sympy.isprime(n):
+            prime_index_of(n)
+        else:
+            with pytest.raises(ValueError):
+                prime_index_of(n)
 
 
 # ------------------------------------------------------------- chi and table

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from direct_sweep import direct_short_traces, direct_traces
+from direct_sweep import direct_short_traces, direct_traces, trace_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +19,6 @@ from ecmoments import (
     point_count_oracle,
     rank6_family,
     sieve_primes,
-    sym_sum,
-    trace_at,
     traces_mod_p,
 )
 from ecmoments.families import Fiber
@@ -93,7 +91,7 @@ def test_traces_mod_p_matches_scalar():
     for fam in fams:
         for p in (5, 31, 101):
             table = cached_legendre_table(p)
-            vec = traces_mod_p(fam, p, table)
+            vec = traces_mod_p(fam, p)
             assert len(vec) == p
             for t in rng.sample(range(p), min(p, 12)):
                 assert int(vec[t]) == trace_at(fam, t, p, table)
@@ -107,7 +105,7 @@ def test_short_traces_exhaustive_to_127():
     for p in [q for q in sieve_primes(31) if 2 < q <= 127]:
         grid = np.arange(p * p, dtype=np.int64)
         a, b = grid // p, grid % p
-        got = short_traces(a, b, cached_legendre_table(p))
+        got = short_traces(a, b, p)
         assert np.array_equal(got, direct_short_traces(a, b, p)), p
 
 
@@ -278,31 +276,3 @@ def test_sums_from_traces_widening_path():
     fast = _sums_from_traces(small, 8)
     for r in range(1, 9):
         assert fast[r - 1] == sum(int(v) ** r for v in small)
-
-
-# ------------------------------------------------------------- symmetric sums
-
-
-def test_sym_sum_examples():
-    fam = corpus_family("1_0_0_-1_t")
-    p = 101
-    rec = moment_sums(fam, p, r_max=1)
-    got = sym_sum(fam, p, 1)
-    assert got.p == p and got.k == 1
-    assert got.value == pytest.approx(rec.S[1] / math.sqrt(p))
-
-
-def test_sym_sum_zero_traces():
-    zero = family("zero", 0, 0, 0, 0, 0)
-    # U_2(0) = -1 for every fiber, so the sum is exactly -p
-    assert sym_sum(zero, 13, 2).value == pytest.approx(-13.0)
-    assert sym_sum(zero, 13, 0).value == pytest.approx(13.0)
-
-
-def test_sym_sum_validation_and_bound():
-    fam = corpus_family("1_0_0_-1_t")
-    with pytest.raises(ValueError):
-        sym_sum(fam, 11, -1)
-    for k in range(5):
-        v = sym_sum(fam, 53, k).value
-        assert abs(v) <= (k + 1) * 53 + 1e-9
