@@ -15,12 +15,12 @@ from .io import (
     write_moments_csv,
 )
 from .modular import sieve_primes
-from .traces import MomentRecord, moment_sums
+from .traces import MomentRecord, prime_moment_sums
 
 
 def _prime_task(task) -> list[MomentRecord]:
     families, p, r_max = task
-    return [moment_sums(fam, p, r_max) for fam in families]
+    return prime_moment_sums(families, p, r_max)
 
 
 def _compute_missing(
@@ -82,14 +82,16 @@ def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
         names = {fam.name for fam in families}
         window = set(primes)
         outside = 0
+        unknown: dict[str, None] = {}  # first-seen order
         for rec in existing:
             if rec.family not in names:
-                print("warning: dropping CSV rows for unknown family %r" % (rec.family,),
-                      file=sys.stderr)
+                unknown[rec.family] = None
             elif rec.p in window:
                 have[(rec.family, rec.p)] = rec
             else:
                 outside += 1
+        for name in unknown:
+            print("warning: dropping CSV rows for unknown family %r" % (name,), file=sys.stderr)
         if outside:
             print("warning: dropping %d CSV rows outside prime indices %d..%d"
                   % (outside, config.start, config.end), file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -12,24 +13,29 @@ from .modular import cached_legendre_table, prime_index_of
 
 
 def point_count_oracle(fiber: Fiber) -> int:
-    """Count affine (x, y) with y^2 = x^3 + A x + B mod p by exhaustive enumeration.
+    """Count affine (x, y) with y^2 = x^3 + A x + B mod p, in O(p).
 
-    Independent of the character machinery; traces_mod_p must equal p minus this.
+    Counts the square roots of every residue by squaring every y, so it is
+    independent of the character machinery; traces_mod_p must equal p minus this.
     """
-    p, a, b = fiber.p, fiber.A, fiber.B
-    squares = [y * y % p for y in range(p)]
-    count = 0
-    for x in range(p):
-        count += squares.count((x * x % p * x + a * x + b) % p)
-    return count
+    p, a, b = fiber.p, fiber.A % fiber.p, fiber.B % fiber.p
+    xs = np.arange(p, dtype=np.int64)
+    roots = np.bincount(xs * xs % p, minlength=p)
+    return int(roots[(xs * xs % p * xs + a * xs + b) % p].sum())
 
 
-def _eval_poly_mod(coeffs: tuple[int, ...], ts: np.ndarray, p: int) -> np.ndarray:
-    """Horner over a vector of arguments; coefficients pre-reduced into [0, p)."""
-    acc = np.zeros(len(ts), dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * ts + c % p) % p
-    return acc
+# Horner, _inverse_table and short_traces multiply two residues in int64
+_MAX_MODULUS = 3037000499  # isqrt(2^63 - 1)
+
+# fibers per block of families at one prime: at small p every family shares
+# one block, and at large p a block is one family, so memory stays O(p)
+_BLOCK_FIBERS = 1 << 16
+
+
+def _check_modulus(p: int) -> None:
+    if p > _MAX_MODULUS:
+        raise ValueError("p=%d exceeds %d, the largest modulus whose residue products fit in int64"
+                         % (p, _MAX_MODULUS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +135,28 @@ def short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _block_traces(families: list[CurveFamily], p: int) -> np.ndarray:
+    """traces[f, t] = a_t(p) of family f for t = 0..p-1, as one int64 block.
+
+    One Horner pass over the stacked coefficients of -27 c4 and -54 c6 mod p
+    gives every fiber's A and B; one short_traces call reads the traces off
+    trace_tables(p).
+    """
+    rows = [[scale * c % p for c in getattr(compute_invariants(fam), name).coeffs]
+            for scale, name in ((-27, "c4"), (-54, "c6")) for fam in families]
+    width = max(map(len, rows), default=0)
+    coeffs = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
+    ts = np.arange(p, dtype=np.int64)
+    acc = np.zeros((len(rows), p), dtype=np.int64)
+    for k in reversed(range(width)):
+        acc = (acc * ts + coeffs[:, k, None]) % p
+    return short_traces(acc[: len(families)], acc[len(families) :], p)
+
+
 def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
     """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
-    inv = compute_invariants(fam)
-    ts = np.arange(p, dtype=np.int64)
-    a = (-27 * _eval_poly_mod(inv.c4.coeffs, ts, p)) % p
-    b = (-54 * _eval_poly_mod(inv.c6.coeffs, ts, p)) % p
-    return short_traces(a, b, p)
+    _check_modulus(p)
+    return _block_traces([fam], p)[0]
 
 
 @dataclass(frozen=True)
@@ -156,30 +177,42 @@ class MomentRecord:
         return len(self.sums)
 
 
-def _exact_sum(arr: np.ndarray, bound: int) -> int:
-    """Exact integer sum of arr whose entries satisfy |entry| <= bound.
+def prime_moment_sums(families: list[CurveFamily], p: int, r_max: int = 7) -> list[MomentRecord]:
+    """moment_sums of every family at one prime, in the order given.
 
-    int64 input is summed in chunks short enough that no partial sum can
-    wrap; chunk boundaries depend only on bound, so results are identical
-    across runs (and would be under any order, the arithmetic being exact).
+    Every trace lies in the Hasse range |a| <= m = isqrt(4p), singular fibers
+    too (their raw sums are 0 or +-1), so a family's traces have a histogram
+    of 2m + 1 bins and S_r = sum over v of count_v v^r, one matrix product for
+    a block of families. The product is exact: int64 for every r with
+    p m^r < 2^63, which bounds its partial sums, and Python ints for higher r.
+    A trace outside the range raises ArithmeticError.
     """
-    if arr.dtype == object:
-        return sum(int(v) for v in arr)
-    step = max(1, (1 << 62) // max(bound, 1))
-    return sum(int(arr[lo : lo + step].sum(dtype=np.int64)) for lo in range(0, len(arr), step))
-
-
-def _sums_from_traces(traces: np.ndarray, r_max: int) -> tuple[int, ...]:
-    maxabs = int(np.abs(traces).max(initial=0))
-    widen = maxabs > 1 and maxabs ** r_max >= 1 << 62  # power chain would overflow int64
-    base = np.array([int(v) for v in traces], dtype=object) if widen else traces
-    cur = base
-    sums = []
-    for r in range(1, r_max + 1):
-        if r > 1:
-            cur = cur * base
-        sums.append(_exact_sum(cur, maxabs ** r))
-    return tuple(sums)
+    if not 1 <= r_max <= 8:
+        raise ValueError("r_max must be in 1..8, got %r" % (r_max,))
+    _check_modulus(p)
+    idx = prime_index_of(p)  # raises on composite p
+    if p == 2:
+        raise ValueError("p must be an odd prime")
+    trace_tables(p)  # before any block array, so the FFT's peak memory does not add to theirs
+    m = math.isqrt(4 * p)
+    width = 2 * m + 1
+    n64 = sum(p * m**r < 1 << 63 for r in range(1, r_max + 1))  # at least 1, as p <= _MAX_MODULUS
+    values = np.arange(-m, m + 1)
+    powers64 = np.stack([values**r for r in range(1, n64 + 1)], axis=1)
+    powers_big = values.astype(object)[:, None] ** np.arange(n64 + 1, r_max + 1, dtype=object)
+    records = []
+    step = max(1, _BLOCK_FIBERS // p)
+    for lo in range(0, len(families), step):
+        block = families[lo : lo + step]
+        traces = _block_traces(block, p)
+        if int(np.abs(traces).max()) > m:
+            raise ArithmeticError("a trace at p=%d lies outside the Hasse range |a| <= %d" % (p, m))
+        bins = traces + (m + width * np.arange(len(block)))[:, None]
+        counts = np.bincount(bins.ravel(), minlength=width * len(block)).reshape(-1, width)
+        sums = np.hstack([counts @ powers64, counts.astype(object) @ powers_big])
+        records += [MomentRecord(fam.name, idx, p, tuple(int(s) for s in row))
+                    for fam, row in zip(block, sums)]
+    return records
 
 
 def moment_sums(fam: CurveFamily, p: int, r_max: int = 7) -> MomentRecord:
@@ -187,10 +220,4 @@ def moment_sums(fam: CurveFamily, p: int, r_max: int = 7) -> MomentRecord:
 
     Singular fibers contribute their raw character sums; nothing is skipped.
     """
-    if not 1 <= r_max <= 8:
-        raise ValueError("r_max must be in 1..8, got %r" % (r_max,))
-    idx = prime_index_of(p)  # raises on composite p
-    if p == 2:
-        raise ValueError("p must be an odd prime")
-    traces = traces_mod_p(fam, p)
-    return MomentRecord(fam.name, idx, p, _sums_from_traces(traces, r_max))
+    return prime_moment_sums([fam], p, r_max)[0]

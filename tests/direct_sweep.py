@@ -1,12 +1,22 @@
-"""The direct O(p^2) t-x character sum, kept as the reference for the trace tables."""
+"""The direct O(p^2) t-x character sum and point count, kept as references for the engine."""
 
 import numpy as np
 
-from ecmoments.families import CurveFamily, compute_invariants, fiber_at
+from ecmoments.families import CurveFamily, Fiber, compute_invariants, fiber_at
 from ecmoments.modular import LegendreTable, cached_legendre_table
 
 # elements per temporary block of the sweep; bounds memory, not results
 _CHUNK = 1 << 22
+
+
+def point_count_enumeration(fiber: Fiber) -> int:
+    """Count affine (x, y) with y^2 = x^3 + A x + B mod p, in O(p^2), by listing every y^2."""
+    p, a, b = fiber.p, fiber.A, fiber.B
+    squares = [y * y % p for y in range(p)]
+    count = 0
+    for x in range(p):
+        count += squares.count((x * x % p * x + a * x + b) % p)
+    return count
 
 
 def trace_at(fam: CurveFamily, t: int, p: int, table: LegendreTable) -> int:

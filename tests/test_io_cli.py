@@ -262,6 +262,25 @@ def test_resume_warns_on_rows_outside_the_window(tmp_path, family_file, capsys):
     assert open(os.path.join(out, "moments.csv"), encoding="utf-8").read() == narrow
 
 
+def test_resume_warns_once_per_unknown_family(tmp_path, capsys):
+    corpus = builtin_corpus()
+    one = tmp_path / "one.json"
+    one.write_text(family_file_text(corpus[:1]), encoding="utf-8")
+    fresh_out, out = str(tmp_path / "fresh"), str(tmp_path / "out")
+    assert main(["moments", "--end", "12", "--families", str(one), "--out", fresh_out]) == 0
+    fresh_stdout = capsys.readouterr().out
+    assert main(["moments", "--end", "12", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["moments", "--end", "12", "--resume", "--families", str(one), "--out", out]) == 0
+    captured = capsys.readouterr()
+    # 15 dropped families, 10 rows each, one line per family in CSV order
+    assert captured.err.splitlines() == [
+        "warning: dropping CSV rows for unknown family %r" % (fam.name,) for fam in corpus[1:]]
+    assert captured.out == fresh_stdout.replace(fresh_out, out)
+    assert (open(os.path.join(out, "moments.csv"), "rb").read()
+            == open(os.path.join(fresh_out, "moments.csv"), "rb").read())
+
+
 def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file):
     cfg = RunConfig(families_path=family_file, start=3, end=14, r_max=4,
                     out_dir=str(tmp_path / "out"))

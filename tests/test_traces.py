@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from direct_sweep import direct_short_traces, direct_traces, trace_at
+from direct_sweep import direct_short_traces, direct_traces, point_count_enumeration, trace_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +21,13 @@ from ecmoments import (
     sieve_primes,
     traces_mod_p,
 )
+from ecmoments import traces
 from ecmoments.families import Fiber
 from ecmoments.traces import (
+    TraceTables,
     _correlate_with_chi,
-    _exact_sum,
     _inverse_table,
-    _sums_from_traces,
+    prime_moment_sums,
     short_traces,
     trace_tables,
 )
@@ -72,6 +73,14 @@ def test_trace_rejects_mismatched_table():
 def test_point_count_examples():
     assert point_count_oracle(Fiber(5, 0, 0)) == 5
     assert point_count_oracle(Fiber(3, 0, 0)) == 3
+
+
+def test_point_count_oracle_matches_enumeration():
+    for p in [q for q in sieve_primes(11) if 2 < q <= 31]:
+        for a in range(p):
+            for b in range(p):
+                fib = Fiber(p, a, b)
+                assert point_count_oracle(fib) == point_count_enumeration(fib), fib
 
 
 def test_point_count_chi_identity():
@@ -242,37 +251,83 @@ def test_moment_invariants_small_grid():
             assert 0.5 <= rec.S[2] / p**2 <= 1.5
 
 
-# --------------------------------------------------------- exact accumulation
+# ------------------------------------------------------------ per-prime kernel
 
 
-def test_exact_sum_matches_python_sum():
-    rng = np.random.default_rng(5)
-    arr = rng.integers(-(2**35), 2**35, size=10_001, dtype=np.int64)
-    assert _exact_sum(arr, 2**35) == int(sum(int(v) for v in arr))
+def _power_sums(traces, r_max):
+    return tuple(sum(int(a) ** r for a in traces) for r in range(1, r_max + 1))
 
 
-def test_exact_sum_near_overflow_entries():
-    # entries close to 2^61 force a chunk step of 1, the worst case
-    arr = np.full(37, (1 << 61) - 5, dtype=np.int64)
-    arr[3] = -((1 << 61) - 7)
-    assert _exact_sum(arr, 1 << 61) == 36 * ((1 << 61) - 5) - ((1 << 61) - 7)
+# y^2 = x^3 + t x + t^2 has a cusp (A = B = 0) at t = 0 for every p
+_CUSP = family("cusp", 0, 0, 0, [0, 1], [0, 0, 1])
 
 
-def test_exact_sum_object_dtype():
-    vals = [3**50, -(3**50) + 1, 12]
-    arr = np.array(vals, dtype=object)
-    assert _exact_sum(arr, 3**50) == sum(vals)
+@settings(max_examples=80, deadline=None)
+@given(fams=st.lists(_families, min_size=1, max_size=4),
+       p=st.sampled_from([q for q in sieve_primes(46) if q > 2]),
+       r_max=st.integers(1, 8))
+def test_prime_moment_sums_match_direct_sweep(fams, p, r_max):
+    fams = [_CUSP] + fams
+    recs = prime_moment_sums(fams, p, r_max)
+    assert [(r.family, r.p, r.r_max) for r in recs] == [(f.name, p, r_max) for f in fams]
+    for fam, rec in zip(fams, recs):
+        assert rec.sums == _power_sums(direct_traces(fam, p), r_max)
 
 
-def test_sums_from_traces_widening_path():
-    # |a| ~ 2^10 with r_max 8 exceeds int64 headroom, forcing object dtype
-    rng = np.random.default_rng(9)
-    vals = rng.integers(-1024, 1025, size=503, dtype=np.int64)
-    sums = _sums_from_traces(vals, 8)
-    for r in range(1, 9):
-        assert sums[r - 1] == sum(int(v) ** r for v in vals)
-    # and the int64 fast path agrees where both are in range
-    small = np.clip(vals, -7, 7)
-    fast = _sums_from_traces(small, 8)
-    for r in range(1, 9):
-        assert fast[r - 1] == sum(int(v) ** r for v in small)
+def _dtype_switch(r_max):
+    """The last prime whose S_{r_max} is summed in int64, and the first in Python ints."""
+    primes = [q for q in sieve_primes(1000) if q > 2]
+    fits = [q * math.isqrt(4 * q) ** r_max < 1 << 63 for q in primes]
+    k = fits.index(False)
+    return primes[k - 1], primes[k]
+
+
+@pytest.mark.parametrize("r_max", [7, 8])
+def test_prime_moment_sums_on_both_sides_of_int64(r_max):
+    fam = corpus_family("1_t_-19_-t-1_0")
+    for p in _dtype_switch(r_max):
+        (rec,) = prime_moment_sums([fam], p, r_max)
+        assert rec.sums == _power_sums(direct_traces(fam, p), r_max), p
+
+
+def test_moment_sums_at_p_100003():
+    for name in ("1_0_0_-1_t", "0_0_0_-t2_t4"):
+        fam = corpus_family(name)
+        assert moment_sums(fam, 100003, 8).sums == _power_sums(traces_mod_p(fam, 100003), 8)
+
+
+def test_prime_moment_sums_blocks_equal_one_family_calls(monkeypatch):
+    fams = [corpus_family(n) for n in ("1_0_0_-1_t", "0_0_0_-t2_t4", "1_t_-19_-t-1_0",
+                                       "1_1_-1_1_t", "0_1_3_1_t")] + [rank6_family()]
+    p = 211
+    singles = [moment_sums(fam, p, 7) for fam in fams]
+    assert prime_moment_sums(fams, p, 7) == singles
+    monkeypatch.setattr(traces, "_BLOCK_FIBERS", 4 * p)  # blocks of 4 and 2 families
+    assert prime_moment_sums(fams, p, 7) == singles
+    assert prime_moment_sums([], p, 7) == []
+
+
+def test_prime_moment_sums_rejects_traces_outside_hasse_range(monkeypatch):
+    fam, p = corpus_family("1_0_0_-1_t"), 101
+    fib = next(f for f in (fiber_at(fam, t, p) for t in range(p)) if f.A * f.B % p)
+    s = fib.A ** 3 * pow(fib.B, -2, p) % p
+    real = trace_tables(p)
+    ss = real.ss.copy()
+    ss[s] += 2 * math.isqrt(4 * p) + 1
+    fake = TraceTables(p, real.chi, ss, real.zero_b, real.a_zero, real.inv)
+    monkeypatch.setattr(traces, "trace_tables", lambda q: fake)
+    with pytest.raises(ArithmeticError, match="Hasse range"):
+        moment_sums(fam, p)
+
+
+def test_moduli_beyond_int64_products_are_rejected_first(monkeypatch):
+    def no_sieve(p):
+        raise AssertionError("sieved up to %d" % (p,))
+
+    monkeypatch.setattr(traces, "prime_index_of", no_sieve)
+    fam = corpus_family("1_0_0_-1_t")
+    p = 4294967311  # the first prime above 2^32
+    for call in (lambda: prime_moment_sums([fam], p), lambda: moment_sums(fam, p),
+                 lambda: traces_mod_p(fam, p)):
+        with pytest.raises(ValueError, match="3037000499"):
+            call()
