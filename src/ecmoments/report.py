@@ -82,9 +82,8 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
         recs = sorted(by_family[name], key=lambda r: r.prime_index)
         fam = known.get(name)
         idxs = [r.prime_index for r in recs]
-        gaps = tuple(
-            i for i in range(idxs[0], idxs[-1] + 1) if i not in set(idxs)
-        )
+        present = set(idxs)
+        gaps = tuple(i for i in range(idxs[0], idxs[-1] + 1) if i not in present)
         if gaps:
             warnings.append(
                 "warning: family %s: missing prime indices %s"

@@ -32,19 +32,13 @@ _MAX_MODULUS = 3037000499  # isqrt(2^63 - 1)
 _BLOCK_FIBERS = 1 << 16
 
 
-def _check_modulus(p: int) -> None:
-    if p > _MAX_MODULUS:
-        raise ValueError("p=%d exceeds %d, the largest modulus whose residue products fit in int64"
-                         % (p, _MAX_MODULUS))
-
-
 @dataclass(frozen=True, eq=False)
 class TraceTables:
     """Every trace mod p, read off three tables (see trace_tables).
 
     ss[s] = a(s, s), zero_b[B] = a(0, B) and a_zero[A] = a(A, 0), where
     a(A, B) = -sum over x mod p of chi(x^3 + A x + B); chi[x] = (x|p) and
-    inv[x] = 1/x mod p with inv[0] = 0.
+    inv[x] = 1/x mod p with inv[0] = 0. chi is int8, inv int64, the rest _table_dtype(p).
     """
 
     p: int
@@ -56,42 +50,69 @@ class TraceTables:
 
 
 def _inverse_table(p: int) -> np.ndarray:
-    """x^(p-2) mod p for every x mod p, by vectorised square-and-multiply."""
+    """x^(p-2) mod p for every x mod p, by vectorised square-and-multiply in place."""
     out = np.ones(p, dtype=np.int64)
     base = np.arange(p, dtype=np.int64)
     e = p - 2
     while e:
         if e & 1:
-            out = out * base % p
-        base = base * base % p
+            out *= base
+            out %= p
+        base *= base
+        base %= p
         e >>= 1
     return out
 
 
-def _correlate_with_chi(weights: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """C[i, s] = sum over v of weights[i, v] chi[(v + s) mod p], exactly, by one real FFT.
+def _fast_length(m: int) -> int:
+    """The least even 2^a 3^b 5^c >= m: a length numpy's FFT transforms quickly."""
+    best = 1 << max(1, (m - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            best = min(best, 2 * odd << (-(-m // (2 * odd)) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
 
-    The transform length is a power of two at least 2p - 1, so the cyclic
-    correlation of weights with chi||chi has no wraparound on s < p. The
-    result is an integer; a value further than 0.25 from one means float64
-    did not carry it, and raises ArithmeticError.
+
+def _table_dtype(p: int) -> type:
+    """int16 while every trace mod p fits, |a| <= isqrt(4p) <= 2 isqrt(p) + 1; int32 above."""
+    return np.int16 if 2 * math.isqrt(p) + 1 < 1 << 15 else np.int32
+
+
+def _chi_spectrum(chi: np.ndarray) -> np.ndarray:
+    """rfft of chi||chi[:-1] at an even length n >= 2p - 1, shared by every correlation."""
+    return np.fft.rfft(np.concatenate([chi, chi[:-1]]).astype(np.float64),
+                       _fast_length(2 * len(chi) - 1))
+
+
+def _correlate_with_chi(weight: np.ndarray, chi_spec: np.ndarray) -> np.ndarray:
+    """C[s] = sum over v of weight[v] chi[(v + s) mod p] for s < p = len(weight), exactly.
+
+    chi_spec is _chi_spectrum(chi), of length n >= 2p - 1, so the cyclic correlation
+    of weight with chi||chi has no wraparound on s < p. C is an integer, returned as
+    float64; a value further than 0.25 from one raises ArithmeticError.
     """
-    p = len(chi)
-    n = 1 << (2 * p - 1).bit_length()
-    chi2 = np.concatenate([chi, chi[:-1]]).astype(np.float64)
-    spec = np.conj(np.fft.rfft(weights, n)) * np.fft.rfft(chi2, n)
-    raw = np.fft.irfft(spec, n)[:, :p]
+    p = len(weight)
+    spec = np.fft.rfft(weight, 2 * len(chi_spec) - 2)
+    np.conjugate(spec, out=spec)
+    spec *= chi_spec
+    raw = np.fft.irfft(spec)[:p]
+    del spec
     out = np.rint(raw)
-    err = float(np.abs(raw - out).max())
+    raw -= out
+    err = float(np.abs(raw, out=raw).max())
     if err > 0.25:
         raise ArithmeticError("FFT correlation at p=%d is off an integer by %.3g" % (p, err))
-    return out.astype(np.int64)
+    return out
 
 
-# 40p bytes per prime; callers work one prime at a time, so two entries suffice
+# 15p bytes per prime (21p above 16384^2); callers work one prime at a time, so two suffice
 @lru_cache(maxsize=2)
 def trace_tables(p: int) -> TraceTables:
-    """The tables behind every trace mod p, in O(p log p).
+    """The tables behind every trace mod p, in O(p log p) time and O(p) memory.
 
     A twist (A, B) -> (d^2 A, d^3 B) multiplies a(A, B) by chi(d); with
     d = B/A it carries (s, s), s = A^3/B^2, to (A, B), so for AB != 0
@@ -101,29 +122,40 @@ def trace_tables(p: int) -> TraceTables:
         -a(s, s) = chi(-1) + sum_v W(v) chi(v + s),  W(v) = sum_{x^3/(x+1) = v} chi(x + 1),
         -a(0, B) = sum_u N3(u) chi(u + B),           N3(u) = #{x : x^3 = u},
         -a(A, 0) = sum_w M(w) chi(w + A),            M(w) = sum_{x^2 = w} chi(x).
+
+    The rows run one at a time against chi's shared spectrum. ValueError unless p is
+    an odd prime up to _MAX_MODULUS, raised before any table is allocated.
     """
-    chi = cached_legendre_table(p).chi.astype(np.int64)
+    if p > _MAX_MODULUS:
+        raise ValueError("p=%d exceeds %d, the largest modulus whose residue products fit in int64"
+                         % (p, _MAX_MODULUS))
+    if prime_index_of(p) == 1:  # raises on composite p; index 1 is p = 2
+        raise ValueError("p must be an odd prime")
+    chi = cached_legendre_table(p).chi
+    dtype = _table_dtype(p)
     inv = _inverse_table(p)
-    xs = np.arange(p, dtype=np.int64)
-    sq = xs * xs % p
-    cube = sq * xs % p
-    y = xs[1:]  # y = x + 1 over x != -1
-    v = (y - 1) * (y - 1) % p * (y - 1) % p * inv[y] % p
-    weights = np.stack([
-        np.bincount(v, weights=chi[y], minlength=p),
-        np.bincount(cube, minlength=p),
-        np.bincount(sq, weights=chi, minlength=p),
-    ])
-    corr = _correlate_with_chi(weights, chi)
-    ss, zero_b, a_zero = -corr
-    ss -= chi[p - 1]
-    for arr in (chi, ss, zero_b, a_zero, inv):
+    chi_spec = _chi_spectrum(chi)
+
+    def table(weight, shift=0):
+        return (-shift - _correlate_with_chi(weight, chi_spec)).astype(dtype)
+
+    sq = np.arange(p, dtype=np.int64) ** 2 % p
+    a_zero = table(np.bincount(sq, weights=chi, minlength=p))
+    sq *= np.arange(p)
+    sq %= p  # now x^3
+    zero_b = table(np.bincount(sq, minlength=p).astype(np.float64))  # rfft would copy an int row
+    sq[:-1] *= inv[1:]
+    sq %= p  # x^3/(x + 1) over x != -1
+    w = np.bincount(sq[:-1], weights=chi[1:], minlength=p)
+    del sq
+    ss = table(w, chi[p - 1])
+    for arr in (ss, zero_b, a_zero, inv):
         arr.setflags(write=False)
     return TraceTables(p, chi, ss, zero_b, a_zero, inv)
 
 
 def short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a(A, B) = -sum over x of chi(x^3 + A x + B), elementwise over int64 A, B in [0, p)."""
+    """a(A, B) = -sum_x chi(x^3 + A x + B) for int64 A, B in [0, p), in the tables' dtype."""
     tt = trace_tables(p)
     ib = tt.inv[b]
     s = a * a % p * a % p * ib % p * ib % p
@@ -136,7 +168,7 @@ def short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _block_traces(families: list[CurveFamily], p: int) -> np.ndarray:
-    """traces[f, t] = a_t(p) of family f for t = 0..p-1, as one int64 block.
+    """traces[f, t] = a_t(p) of family f for t = 0..p-1, as one block of short_traces.
 
     One Horner pass over the stacked coefficients of -27 c4 and -54 c6 mod p
     gives every fiber's A and B; one short_traces call reads the traces off
@@ -155,8 +187,8 @@ def _block_traces(families: list[CurveFamily], p: int) -> np.ndarray:
 
 def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
     """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
-    _check_modulus(p)
-    return _block_traces([fam], p)[0]
+    trace_tables(p)  # checks p before the Horner pass allocates
+    return _block_traces([fam], p)[0].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -189,11 +221,8 @@ def prime_moment_sums(families: list[CurveFamily], p: int, r_max: int = 7) -> li
     """
     if not 1 <= r_max <= 8:
         raise ValueError("r_max must be in 1..8, got %r" % (r_max,))
-    _check_modulus(p)
-    idx = prime_index_of(p)  # raises on composite p
-    if p == 2:
-        raise ValueError("p must be an odd prime")
-    trace_tables(p)  # before any block array, so the FFT's peak memory does not add to theirs
+    trace_tables(p)  # checks p; first, so the FFT's peak does not add to the block arrays
+    idx = prime_index_of(p)
     m = math.isqrt(4 * p)
     width = 2 * m + 1
     n64 = sum(p * m**r < 1 << 63 for r in range(1, r_max + 1))  # at least 1, as p <= _MAX_MODULUS

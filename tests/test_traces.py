@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ecmoments import (
     discriminant,
     moment_sums,
     point_count_oracle,
+    prime_index_of,
     rank6_family,
     sieve_primes,
     traces_mod_p,
@@ -24,9 +26,13 @@ from ecmoments import (
 from ecmoments import traces
 from ecmoments.families import Fiber
 from ecmoments.traces import (
+    _MAX_MODULUS,
     TraceTables,
+    _chi_spectrum,
     _correlate_with_chi,
+    _fast_length,
     _inverse_table,
+    _table_dtype,
     prime_moment_sums,
     short_traces,
     trace_tables,
@@ -118,6 +124,17 @@ def test_short_traces_exhaustive_to_127():
         assert np.array_equal(got, direct_short_traces(a, b, p)), p
 
 
+@pytest.mark.parametrize("p", [8209, 16411])  # 2p - 1 just past 2^14 and 2^15
+def test_short_traces_sampled_past_a_power_of_two(p):
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, size=(2, 200))
+    a[:20] = 0
+    b[20:40] = 0
+    got = short_traces(a, b, p)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, direct_short_traces(a, b, p))
+
+
 def _small_poly(max_degree):
     return st.lists(st.integers(-6, 6), max_size=max_degree + 1)
 
@@ -147,8 +164,46 @@ def test_traces_mod_p_large_prime_matches_direct_sweep(fam):
 def test_trace_tables_special_lines():
     tt = trace_tables(101)
     assert tt.zero_b[0] == tt.a_zero[0] == 0  # a(0, 0) = -sum chi(x^3) = 0
-    assert tt.ss.dtype == tt.zero_b.dtype == tt.a_zero.dtype == np.int64
+    assert tt.ss.dtype == tt.zero_b.dtype == tt.a_zero.dtype == np.int16
+    assert tt.chi.dtype == np.int8 and tt.inv.dtype == np.int64
     assert not tt.ss.flags.writeable
+
+
+def test_table_dtype_holds_the_hasse_range():
+    # 2 isqrt(p) + 1 reaches 2^15 at p = 16384^2, where the Hasse bound
+    # isqrt(4p) first exceeds int16
+    for p, dtype in ((16384**2 - 1, np.int16), (16384**2, np.int32), (_MAX_MODULUS, np.int32)):
+        assert _table_dtype(p) == dtype, p
+        assert math.isqrt(4 * p) <= np.iinfo(dtype).max
+    assert math.isqrt(4 * 16384**2) > np.iinfo(np.int16).max
+
+
+def test_fast_length_is_the_least_even_5_smooth_length():
+    def smooth(n):
+        for q in (2, 3, 5):
+            while n % q == 0:
+                n //= q
+        return n == 1
+
+    expected = 2
+    for m in range(1, 5001):
+        while expected < m or not smooth(expected):
+            expected += 2
+        assert _fast_length(m) == expected, m
+
+
+def test_trace_tables_memory_is_linear_with_a_small_constant():
+    p = 100003
+    prime_index_of(p)  # the sieve is its own cache
+    trace_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        tt = trace_tables(p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tt.p == p
+    assert held <= 16 * p and peak <= 100 * p, (held / p, peak / p)
 
 
 def test_inverse_table():
@@ -162,9 +217,10 @@ def test_correlation_rejects_inexact_float():
     # a constant weight correlates to exactly 0, but at 2^52 the transform's
     # rounding error reaches the units place
     p = 101
-    weights = np.full((1, p), float(1 << 52))
+    chi_spec = _chi_spectrum(cached_legendre_table(p).chi)
+    assert not _correlate_with_chi(np.full(p, 1.0), chi_spec).any()
     with pytest.raises(ArithmeticError):
-        _correlate_with_chi(weights, cached_legendre_table(p).chi)
+        _correlate_with_chi(np.full(p, float(1 << 52)), chi_spec)
 
 
 def test_trace_caches_are_bounded():
@@ -330,4 +386,15 @@ def test_moduli_beyond_int64_products_are_rejected_first(monkeypatch):
     for call in (lambda: prime_moment_sums([fam], p), lambda: moment_sums(fam, p),
                  lambda: traces_mod_p(fam, p)):
         with pytest.raises(ValueError, match="3037000499"):
+            call()
+
+
+@pytest.mark.parametrize("p", [2, 9, 15])
+def test_tables_reject_moduli_that_are_not_odd_primes(p):
+    trace_tables.cache_clear()
+    fam = corpus_family("1_0_0_-1_t")
+    zero = np.zeros(1, dtype=np.int64)
+    for call in (lambda: trace_tables(p), lambda: short_traces(zero, zero, p),
+                 lambda: traces_mod_p(fam, p), lambda: prime_moment_sums([fam], p)):
+        with pytest.raises(ValueError):
             call()
