@@ -32,6 +32,7 @@ from .families import (
     Fiber,
     IntPolynomial,
     Invariants,
+    MomentRecord,
     Template1,
     Template2,
     Template3,
@@ -65,11 +66,16 @@ from .modular import (
 from .report import run_report
 from .runner import compute_records, run_moments
 from .svg import emit_histogram_svg
-from .traces import (
-    MomentRecord,
-    moment_sums,
-    point_count_oracle,
-    traces_mod_p,
-)
 
 __version__ = "0.1.0"
+
+# served on first use, so that importing the package does not load numpy
+_TRACES_NAMES = ("moment_sums", "point_count_oracle", "traces_mod_p")
+
+
+def __getattr__(name: str):
+    if name in _TRACES_NAMES:
+        from . import traces
+
+        return getattr(traces, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

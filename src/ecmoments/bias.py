@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .traces import MomentRecord
+from .families import MomentRecord
 
 # r -> (M_r, e_r): main term of S_r is M_r * p^{e_r}
 EVEN_MAIN_TERMS = {2: (1, 2), 4: (2, 3), 6: (5, 4)}
@@ -50,7 +50,7 @@ def residual_series(
     recs = _sorted_records(records, r)
     pts = []
     for rec in recs:
-        num = rec.S[r] - m_r * rec.p ** e_r  # exact integer
+        num = rec.sums[r - 1] - m_r * rec.p ** e_r  # exact integer
         if exponent.denominator == 1:
             val = num / rec.p ** exponent.numerator
         else:
@@ -67,7 +67,7 @@ def odd_coefficient_series(records: list[MomentRecord], r: int) -> ResidualSerie
         raise ValueError("r must be odd in 1..7, got %r" % (r,))
     q = (r + 1) // 2
     recs = _sorted_records(records, r)
-    pts = tuple((rec.p, rec.S[r] / rec.p ** q) for rec in recs)
+    pts = tuple((rec.p, rec.sums[r - 1] / rec.p ** q) for rec in recs)
     return ResidualSeries(recs[0].family, r, Fraction(q), pts)
 
 
@@ -171,7 +171,7 @@ def nagao_rank_estimate(records: list[MomentRecord], x: int) -> float:
     pts = [rec for rec in _sorted_records(records, 1) if 2 < rec.p <= x]
     if not pts:
         raise ValueError("no records with p <= %r" % (x,))
-    acc = math.fsum(-rec.S[1] / rec.p * math.log(rec.p) for rec in pts)
+    acc = math.fsum(-rec.sums[0] / rec.p * math.log(rec.p) for rec in pts)
     return acc / x
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .closed_forms import NoTemplateError, verify_family
 from .discovery import SOME_FALSIFIED, discover, summarize
-from .families import discriminant, fiber_at, match_template
+from .families import MomentRecord, discriminant, fiber_at, match_template
 from .io import (
     FamilyParseError,
     RunConfig,
@@ -22,7 +22,6 @@ from .io import (
 from .modular import sieve_primes
 from .report import run_report
 from .runner import compute_records, run_moments
-from .traces import MomentRecord, point_count_oracle, traces_mod_p
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -194,6 +193,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .traces import point_count_oracle, traces_mod_p
+
     cfg = _config(args, r_max=1)
     families = load_families(cfg)
     primes = sieve_primes(cfg.end)[cfg.start - 1 : cfg.end]

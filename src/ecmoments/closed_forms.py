@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .families import CurveFamily, Template1, Template2, Template3, match_template
+from .families import (
+    CurveFamily,
+    MomentRecord,
+    Template1,
+    Template2,
+    Template3,
+    match_template,
+)
 from .modular import _check_odd_prime_modulus, cached_legendre_table, legendre_symbol
-from .traces import MomentRecord
 
 
 class NoTemplateError(ValueError):
@@ -62,6 +66,8 @@ def cubic_char_sum(p: int) -> int:
 
     Vanishes whenever p = 3 mod 4 (the summand is odd under x -> -x there).
     """
+    import numpy as np
+
     _check_odd_prime_modulus(p)
     x = np.arange(p, dtype=np.int64)
     return int(cached_legendre_table(p).chi[(x * x % p * x - x) % p].sum(dtype=np.int64))
@@ -136,6 +142,6 @@ def verify_family(fam: CurveFamily, records: list[MomentRecord]) -> VerifyReport
     for rec in sorted(records, key=lambda r: r.p):
         pred = predict(template, rec.p)
         entries.append(
-            VerifyEntry(rec.p, pred.valid, pred.S1, pred.S2, rec.S[1], rec.S[2])
+            VerifyEntry(rec.p, pred.valid, pred.S1, pred.S2, rec.sums[0], rec.sums[1])
         )
     return VerifyReport(fam.name, template, tuple(entries))

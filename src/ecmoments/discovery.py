@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .traces import MomentRecord
+from .families import MomentRecord
 
 VERIFIED = "Verified"
 FALSIFIED = "Falsified"
@@ -32,14 +32,14 @@ def _fit_class(recs: list[MomentRecord], residue: int, modulus: int, skip_first:
         return FormulaFit(residue, modulus, None, None, INSUFFICIENT, 0, None)
     lo = 1 if skip_first else 0  # the class's first prime is left out of the fit entirely
     r1, r2 = recs[lo], recs[lo + 1]
-    y1 = Fraction(r1.S[2] - r1.p ** 2)
-    y2 = Fraction(r2.S[2] - r2.p ** 2)
+    y1 = Fraction(r1.sums[1] - r1.p ** 2)
+    y2 = Fraction(r2.sums[1] - r2.p ** 2)
     a = (y2 - y1) / (r2.p - r1.p)
     b = y1 - a * r1.p
     status, first_failure, checked = VERIFIED, None, 0
     for rec in recs[lo + 2 :]:
         checked += 1
-        if a * rec.p + b != rec.S[2] - rec.p ** 2:
+        if a * rec.p + b != rec.sums[1] - rec.p ** 2:
             status, first_failure = FALSIFIED, rec.p
             break
     return FormulaFit(residue, modulus, a, b, status, checked, first_failure)

@@ -222,3 +222,21 @@ def is_nondegenerate(fam: CurveFamily) -> bool:
     """
     inv = compute_invariants(fam)
     return not (inv.c4 ** 3 - inv.c6 ** 2).is_zero()
+
+
+@dataclass(frozen=True)
+class MomentRecord:
+    """Exact power sums S_r = sum_t a_t(p)^r for one family at one prime; sums[r - 1] is S_r."""
+
+    family: str
+    prime_index: int
+    p: int
+    sums: tuple[int, ...]
+
+    @property
+    def S(self) -> dict[int, int]:
+        return {r: v for r, v in enumerate(self.sums, start=1)}
+
+    @property
+    def r_max(self) -> int:
+        return len(self.sums)

@@ -12,8 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .corpus import builtin_corpus
-from .families import CurveFamily, IntPolynomial, is_nondegenerate
-from .traces import MomentRecord
+from .families import CurveFamily, IntPolynomial, MomentRecord, is_nondegenerate
 
 
 class FamilyParseError(ValueError):

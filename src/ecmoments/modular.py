@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, islice
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+# _mask[n] == 1 exactly when n is prime, for n < len(_mask); grown on demand
+_mask = bytearray(2)
+
+
+def _prime_mask(n: int) -> bytearray:
+    """The shared primality mask, first grown to cover 0..n (by a factor of at least 5/4)."""
+    global _mask
+    if n < len(_mask):
+        return _mask
+    size = max(n + 1, len(_mask) * 5 // 4)
+    mask = bytearray(b"\x00\x01") * (size // 2 + 1)  # the odd numbers
+    del mask[size:]
+    mask[1:3] = b"\x00\x01"  # 1 is not prime, 2 is
+    zeros = memoryview(bytes(size // 6 + 1))
+    for q in range(3, math.isqrt(size - 1) + 1, 2):
+        if mask[q]:
+            hits = len(range(q * q, size, 2 * q))  # odd multiples from q^2
+            mask[q * q :: 2 * q] = zeros[:hits]
+    _mask = mask
+    return mask
+
 
 def sieve_primes(count: int) -> list[int]:
     """First `count` primes, ascending, by sieve of Eratosthenes."""
@@ -17,28 +41,15 @@ def sieve_primes(count: int) -> list[int]:
         return [2, 3, 5, 7, 11][:count]
     # n-th prime < n (ln n + ln ln n) for n >= 6
     bound = int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    mask = np.ones(bound, dtype=bool)
-    mask[:2] = False
-    for q in range(2, int(math.isqrt(bound)) + 1):
-        if mask[q]:
-            mask[q * q :: q] = False
-    return [int(q) for q in np.flatnonzero(mask)[:count]]
-
-
-_primes: list[int] = sieve_primes(64)
+    mask = _prime_mask(bound)
+    return list(islice(compress(range(len(mask)), mask), count))
 
 
 def prime_index_of(p: int) -> int:
     """1-based index of p among the primes (index 1 is 2); ValueError when p is composite."""
-    global _primes
-    count = len(_primes)
-    while _primes[-1] < p:
-        count *= 2
-        _primes = sieve_primes(count)
-    i = bisect.bisect_left(_primes, p)
-    if i == len(_primes) or _primes[i] != p:
+    if p < 2 or not _prime_mask(p)[p]:
         raise ValueError("%r is not prime" % (p,))
-    return i + 1
+    return _mask.count(1, 0, p) + 1
 
 
 def _check_odd_prime_modulus(p: int) -> None:
@@ -64,8 +75,14 @@ class LegendreTable:
 
 
 def build_legendre_table(p: int) -> LegendreTable:
-    """Tabulate the quadratic character mod p in O(p) by marking the squares."""
+    """Tabulate the quadratic character mod p in O(p) by marking the squares.
+
+    ValueError unless p is an odd prime.
+    """
+    import numpy as np
+
     _check_odd_prime_modulus(p)
+    prime_index_of(p)  # raises on odd composite p
     chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)

@@ -19,9 +19,9 @@ from .bias import (
     odd_coefficient_series,
     residual_series,
 )
+from .families import MomentRecord
 from .io import RunConfig, atomic_write_text, load_families, read_moments_csv
 from .svg import emit_histogram_svg
-from .traces import MomentRecord
 
 HISTOGRAM_BINS = 10
 

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .families import CurveFamily
+from .families import CurveFamily, MomentRecord
 from .io import (
     RunConfig,
     ValidationError,
@@ -15,10 +14,11 @@ from .io import (
     write_moments_csv,
 )
 from .modular import sieve_primes
-from .traces import MomentRecord, prime_moment_sums
 
 
 def _prime_task(task) -> list[MomentRecord]:
+    from .traces import prime_moment_sums
+
     families, p, r_max = task
     return prime_moment_sums(families, p, r_max)
 
@@ -30,13 +30,18 @@ def _compute_missing(
 
     One task per prime covers all of that prime's families, so the prime's
     trace tables are built once and shared. Each S_r is an exact integer, so
-    the records are identical for any worker count.
+    the records are identical for any worker count. The trace engine (and with
+    it numpy) and the pool are imported only when there is something to compute.
     """
     keys = [(i, p) for p, positions in missing.items() for i in positions]
     tasks = [([families[i] for i in positions], p, r_max) for p, positions in missing.items()]
     if workers <= 1 or len(tasks) <= 1:
         results = [_prime_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        from . import traces  # noqa: F401  (before the fork: workers inherit it, not import it)
+
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_prime_task, tasks, chunksize=chunk))

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import CurveFamily, Fiber, compute_invariants
+from .families import CurveFamily, Fiber, MomentRecord, compute_invariants
 from .modular import cached_legendre_table, prime_index_of
 
 
@@ -189,24 +189,6 @@ def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
     """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
     trace_tables(p)  # checks p before the Horner pass allocates
     return _block_traces([fam], p)[0].astype(np.int64)
-
-
-@dataclass(frozen=True)
-class MomentRecord:
-    """Exact power sums S_r = sum_t a_t(p)^r for one family at one prime."""
-
-    family: str
-    prime_index: int
-    p: int
-    sums: tuple[int, ...]
-
-    @property
-    def S(self) -> dict[int, int]:
-        return {r: v for r, v in enumerate(self.sums, start=1)}
-
-    @property
-    def r_max(self) -> int:
-        return len(self.sums)
 
 
 def prime_moment_sums(families: list[CurveFamily], p: int, r_max: int = 7) -> list[MomentRecord]:

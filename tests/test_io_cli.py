@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
+import ecmoments
 from ecmoments import (
     FamilyParseError,
     Histogram,
@@ -434,14 +437,47 @@ def test_cli_oracle(family_file, tmp_path, capsys):
 
 
 def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, capsys):
-    import ecmoments.cli as cli
+    import ecmoments.traces as traces
 
-    real = cli.traces_mod_p
-    monkeypatch.setattr(cli, "traces_mod_p", lambda fam, p: real(fam, p) + 1)
+    real = traces.traces_mod_p
+    monkeypatch.setattr(traces, "traces_mod_p", lambda fam, p: real(fam, p) + 1)
     rc = main(["oracle", "--families", family_file, "--start", "3", "--end", "3",
                "--out", str(tmp_path)])
     assert rc == 2
     assert "family fam_a p=5: FAIL at t=[0, 1, 2, 3, 4]" in capsys.readouterr().out
+
+
+# what a command that computes no traces must not load, and what `cli` must
+# load eagerly (bench/tracing.py wraps functions through sys.modules)
+ENGINE_MODULES = ("numpy", "ecmoments.traces", "concurrent.futures.process")
+EAGER_MODULES = ("bias", "closed_forms", "discovery", "families", "io", "modular",
+                 "report", "runner", "svg")
+
+IMPORT_PROBE = """\
+import json, sys
+loaded = {}
+import ecmoments.cli
+loaded["import"] = sorted(sys.modules)
+for step, argv in json.loads(sys.argv[1]):
+    assert ecmoments.cli.main(argv) == 0, step
+    loaded[step] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_traces_leave_numpy_and_the_pool_unloaded(tmp_path, family_file):
+    window = ["--families", family_file, "--start", "3", "--end", "12", "--threads", "2",
+              "--out", str(tmp_path)]
+    assert main(["moments"] + window) == 0
+    steps = [("resume", ["moments", "--resume"] + window), ("report", ["report"] + window)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecmoments.__file__)))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert set(loaded) == {"import", "resume", "report"}
+    for stage, modules in loaded.items():
+        assert not set(ENGINE_MODULES) & set(modules), stage
+    assert {"ecmoments." + m for m in EAGER_MODULES} <= set(loaded["import"])
 
 
 def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Prime sieving, prime indices, Legendre tables, and the linear/quadratic sum lemmas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -12,6 +14,7 @@ from ecmoments import (
     quadratic_legendre_sum,
     sieve_primes,
 )
+from ecmoments import modular
 from ecmoments.modular import cached_legendre_table
 
 
@@ -58,6 +61,18 @@ def test_is_prime_matches_sympy_exhaustive():
                 prime_index_of(n)
 
 
+def test_prime_index_of_holds_one_byte_per_integer(monkeypatch):
+    """At p = 10000019 the primality mask is a bytearray: about 10 MB held, not a list of ints."""
+    monkeypatch.setattr(modular, "_mask", bytearray(2))
+    tracemalloc.start()
+    try:
+        assert prime_index_of(10000019) == 664580  # sympy.primepi(10000019)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 20 * 10**6 and peak <= 20 * 10**6, (held, peak)
+
+
 # ------------------------------------------------------------- chi and table
 
 
@@ -98,6 +113,14 @@ def test_legendre_table_matches_symbol_and_is_balanced():
     chi97 = build_legendre_table(97).chi
     for a in range(97):
         assert int(chi97[a]) == legendre_symbol(a, 97)
+
+
+@pytest.mark.parametrize("n", [9, 15, 21])
+def test_legendre_table_rejects_odd_composite_modulus(n):
+    with pytest.raises(ValueError):
+        build_legendre_table(n)
+    with pytest.raises(ValueError):
+        cached_legendre_table(n)
 
 
 def test_legendre_table_is_read_only():
