@@ -20,16 +20,34 @@ class ResidualSeries:
     points: tuple[tuple[int, float], ...]  # (p, value), ascending in p
 
 
-def _sorted_records(records: list[MomentRecord], r: int) -> list[MomentRecord]:
-    recs = sorted(records, key=lambda rec: rec.p)
+class SortedRecords(tuple):
+    """One family's MomentRecords in ascending p, each with at least r_max moments."""
+
+    r_max: int
+
+
+def sort_records(records: list[MomentRecord], r_max: int) -> SortedRecords:
+    """The records sorted by p and checked to hold S_1..S_r_max, once for many series.
+
+    The series functions below take a SortedRecords as it is; any other list of
+    records they sort and check on every call.
+    """
+    recs = SortedRecords(sorted(records, key=lambda rec: rec.p))
     if not recs:
         raise ValueError("no records")
     for rec in recs:
-        if rec.r_max < r:
+        if rec.r_max < r_max:
             raise ValueError(
-                "record for p=%d has moments up to r=%d, need r=%d" % (rec.p, rec.r_max, r)
+                "record for p=%d has moments up to r=%d, need r=%d" % (rec.p, rec.r_max, r_max)
             )
+    recs.r_max = r_max
     return recs
+
+
+def _sorted_records(records: list[MomentRecord], r: int) -> SortedRecords:
+    if isinstance(records, SortedRecords) and records.r_max >= r:
+        return records
+    return sort_records(records, r)
 
 
 def residual_series(

@@ -37,7 +37,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      help="last prime index, inclusive (default 302)")
     sub.add_argument("--out", default="out", metavar="DIR", help="output directory")
     sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker processes across primes (default 1)")
+                     help="most worker processes across primes (default 1); a window too "
+                          "small to repay their start-up runs in-process")
 
 
 def build_parser() -> argparse.ArgumentParser:

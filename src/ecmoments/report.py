@@ -18,6 +18,7 @@ from .bias import (
     nagao_rank_estimate,
     odd_coefficient_series,
     residual_series,
+    sort_records,
 )
 from .families import MomentRecord
 from .io import RunConfig, atomic_write_text, load_families, read_moments_csv
@@ -79,7 +80,7 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
     warnings: list[str] = []
     reports: list[FamilyReport] = []
     for name in ordered_names:
-        recs = sorted(by_family[name], key=lambda r: r.prime_index)
+        recs = sort_records(by_family[name], r_max)  # by p, checked once for every series
         fam = known.get(name)
         idxs = [r.prime_index for r in recs]
         present = set(idxs)

@@ -167,32 +167,46 @@ def short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _block_traces(families: list[CurveFamily], p: int) -> np.ndarray:
-    """traces[f, t] = a_t(p) of family f for t = 0..p-1, as one block of short_traces.
+def coefficient_rows(families: list[CurveFamily]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each family's integer coefficients of A = -27 c4 and B = -54 c6, ascending in t.
 
-    One Horner pass over the stacked coefficients of -27 c4 and -54 c6 mod p
-    gives every fiber's A and B; one short_traces call reads the traces off
-    trace_tables(p).
+    y^2 = x^3 + A(t) x + B(t) is the short model whose traces _block_traces reads.
+    The rows hold no modulus, so a run builds them once and reduces them at each p.
     """
-    rows = [[scale * c % p for c in getattr(compute_invariants(fam), name).coeffs]
-            for scale, name in ((-27, "c4"), (-54, "c6")) for fam in families]
-    width = max(map(len, rows), default=0)
-    coeffs = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
+    return [tuple(tuple(scale * c for c in getattr(inv, name).coeffs)
+                  for scale, name in ((-27, "c4"), (-54, "c6")))
+            for inv in map(compute_invariants, families)]
+
+
+def _block_traces(rows: list[tuple[tuple[int, ...], tuple[int, ...]]], p: int) -> np.ndarray:
+    """traces[f, t] = a_t(p) of the family with coefficient_rows rows[f], t = 0..p-1.
+
+    One Horner pass over the stacked rows of A and B mod p gives every fiber's
+    A and B; one short_traces call reads the traces off trace_tables(p).
+    """
+    stacked = [a for a, _ in rows] + [b for _, b in rows]
+    width = max(map(len, stacked), default=0)
+    coeffs = np.array([[c % p for c in row] + [0] * (width - len(row)) for row in stacked],
+                      dtype=np.int64)
     ts = np.arange(p, dtype=np.int64)
-    acc = np.zeros((len(rows), p), dtype=np.int64)
+    acc = np.zeros((len(stacked), p), dtype=np.int64)
     for k in reversed(range(width)):
         acc = (acc * ts + coeffs[:, k, None]) % p
-    return short_traces(acc[: len(families)], acc[len(families) :], p)
+    return short_traces(acc[: len(rows)], acc[len(rows) :], p)
 
 
 def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
     """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
     trace_tables(p)  # checks p before the Horner pass allocates
-    return _block_traces([fam], p)[0].astype(np.int64)
+    return _block_traces(coefficient_rows([fam]), p)[0].astype(np.int64)
 
 
-def prime_moment_sums(families: list[CurveFamily], p: int, r_max: int = 7) -> list[MomentRecord]:
+def prime_moment_sums(
+    families: list[CurveFamily], p: int, r_max: int = 7, rows=None
+) -> list[MomentRecord]:
     """moment_sums of every family at one prime, in the order given.
+
+    rows, if given, is coefficient_rows(families), built once for many primes.
 
     Every trace lies in the Hasse range |a| <= m = isqrt(4p), singular fibers
     too (their raw sums are 0 or +-1), so a family's traces have a histogram
@@ -211,11 +225,13 @@ def prime_moment_sums(families: list[CurveFamily], p: int, r_max: int = 7) -> li
     values = np.arange(-m, m + 1)
     powers64 = np.stack([values**r for r in range(1, n64 + 1)], axis=1)
     powers_big = values.astype(object)[:, None] ** np.arange(n64 + 1, r_max + 1, dtype=object)
+    if rows is None:
+        rows = coefficient_rows(families)
     records = []
     step = max(1, _BLOCK_FIBERS // p)
     for lo in range(0, len(families), step):
         block = families[lo : lo + step]
-        traces = _block_traces(block, p)
+        traces = _block_traces(rows[lo : lo + step], p)
         if int(np.abs(traces).max()) > m:
             raise ArithmeticError("a trace at p=%d lies outside the Hasse range |a| <= %d" % (p, m))
         bins = traces + (m + width * np.arange(len(block)))[:, None]

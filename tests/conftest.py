@@ -1,8 +1,9 @@
-"""Shared fixtures: the corpus moment grid reused across the acceptance gates."""
+"""Shared fixtures: the corpus moment grid reused across the acceptance gates, and the pool."""
 
 import pytest
 
 from ecmoments import builtin_corpus
+from ecmoments import runner
 from ecmoments.runner import compute_records
 
 # prime indices 3..302 give the first 300 odd primes past 3: p = 5 .. 1997
@@ -36,3 +37,14 @@ def records_by_family(corpus_records):
     for recs in out.values():
         recs.sort(key=lambda r: r.p)
     return out
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Start the worker pool on any window, however small, when workers > 1.
+
+    The runner computes in-process unless the work repays each worker's
+    start-up; the tests' windows are far below that, so worker-count tests
+    lower the threshold to keep the pool's results under test.
+    """
+    monkeypatch.setattr(runner, "_WORKER_FIBERS", 1)

@@ -235,7 +235,7 @@ def test_criterion_09_catalan_binomial_blocksize(records_by_family):
     )
 
 
-def test_criterion_10_determinism_and_pipeline(tmp_path):
+def test_criterion_10_determinism_and_pipeline(tmp_path, force_pool):
     """Worker-count and resume determinism, wide-integer CSV round trip, <60s pipeline."""
     corpus = {f.name: f for f in builtin_corpus()}
     five = [corpus[n] for n in

@@ -214,7 +214,7 @@ def test_atomic_write_text(tmp_path):
 # ---------------------------------------------------------------------- runner
 
 
-def test_compute_records_order_and_workers(family_file):
+def test_compute_records_order_and_workers(family_file, force_pool):
     fams = parse_family_file(family_file)
     one = compute_records(fams, 3, 10, r_max=2, workers=1)
     assert [(r.family, r.p) for r in one[:3]] == [("fam_a", 5), ("fam_a", 7), ("fam_a", 11)]
@@ -284,7 +284,7 @@ def test_resume_warns_once_per_unknown_family(tmp_path, capsys):
             == open(os.path.join(fresh_out, "moments.csv"), "rb").read())
 
 
-def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file):
+def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file, force_pool):
     cfg = RunConfig(families_path=family_file, start=3, end=14, r_max=4,
                     out_dir=str(tmp_path / "out"))
     path, _ = run_moments(cfg)
@@ -299,7 +299,7 @@ def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file):
         open(path, "w", encoding="utf-8").write("".join(kept))
 
 
-def test_run_moments_deterministic_across_workers(tmp_path, family_file):
+def test_run_moments_deterministic_across_workers(tmp_path, family_file, force_pool):
     texts = []
     for workers in (1, 3):
         out = tmp_path / ("w%d" % workers)
@@ -308,6 +308,58 @@ def test_run_moments_deterministic_across_workers(tmp_path, family_file):
         path, _ = run_moments(cfg)
         texts.append(open(path, "rb").read())
     assert texts[0] == texts[1]
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Record each pool the runner starts: its size and the primes of its tasks in order."""
+    import concurrent.futures
+
+    pools = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append({"workers": max_workers})
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)  # (p, family positions)
+            pools[-1].update(primes=[p for p, _ in tasks], chunksize=chunksize)
+            return super().map(fn, tasks, chunksize=chunksize)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return pools
+
+
+def test_pool_takes_largest_primes_first(family_file, force_pool, pool_spy):
+    fams = parse_family_file(family_file)
+    # 11 primes over 3 workers: no even split, and the last prime costs the most
+    in_process = compute_records(fams, 3, 13, r_max=4, workers=1)
+    assert pool_spy == []
+    assert compute_records(fams, 3, 13, r_max=4, workers=3) == in_process
+    primes = sieve_primes(13)[2:]
+    assert pool_spy == [{"workers": 3, "primes": primes[::-1], "chunksize": 1}]
+
+
+def test_pool_starts_at_the_measured_crossover(pool_spy):
+    corpus = builtin_corpus()
+    # 0.95 M fibers, where two workers and none were even, then 1.09 M
+    compute_records(corpus, 3, 150, r_max=1, workers=2)
+    assert pool_spy == []
+    compute_records(corpus, 3, 160, r_max=1, workers=2)
+    assert [pool["workers"] for pool in pool_spy] == [2]
+
+
+def test_pool_size_follows_the_work(monkeypatch, family_file, pool_spy):
+    import ecmoments.runner as runner
+
+    fams = parse_family_file(family_file)
+    work = len(fams) * sum(sieve_primes(13)[2:])  # fibers of the window
+    expected = compute_records(fams, 3, 13, r_max=3)
+    for fibers_per_worker, started in ((work // 2 + 1, []), (work // 2, [2]), (1, [2, 4])):
+        monkeypatch.setattr(runner, "_WORKER_FIBERS", fibers_per_worker)
+        assert compute_records(fams, 3, 13, r_max=3, workers=4) == expected
+        assert [pool["workers"] for pool in pool_spy] == started
 
 
 # ---------------------------------------------------------------------- report
@@ -342,6 +394,40 @@ def test_run_report_unconfigured_rank_note(tmp_path, family_file):
     text, (rep,) = run_report(csv_path, cfg)
     assert rep.expected_rank is None
     assert "no expected_rank configured" in text
+
+
+def test_run_report_sorts_each_family_once(monkeypatch, tmp_path):
+    import random
+
+    from ecmoments import bias, report
+
+    fams = builtin_corpus()[:2]
+    recs = compute_records(fams, 3, 40, r_max=7)
+    random.Random(3).shuffle(recs)
+    csv_path = tmp_path / "m.csv"
+    write_moments_csv(csv_path, recs, 7)
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(bias, "sorted", counted_sorted, raising=False)
+    outputs = []
+    for name in ("once", "per_series"):
+        out = tmp_path / name
+        text, reps = run_report(csv_path, RunConfig(out_dir=str(out)))
+        svgs = {os.path.basename(s): open(s, "rb").read() for rep in reps for s in rep.svg_paths}
+        outputs.append((text, svgs))
+        if name == "once":
+            assert len(sorts) == len(fams)
+            # from here on every series function sorts and checks its own records
+            monkeypatch.setattr(report, "sort_records",
+                                lambda records, r_max: sorted(records, key=lambda rec: rec.p))
+    # ten series per family: S2, S4 and S6 residuals, S3, S5 and S7 means,
+    # three Catalan checks and the rank estimate
+    assert len(sorts) == len(fams) + 10 * len(fams)
+    assert outputs[0] == outputs[1]
 
 
 def test_run_report_rejects_empty_csv(tmp_path):
@@ -458,26 +544,41 @@ import json, sys
 loaded = {}
 import ecmoments.cli
 loaded["import"] = sorted(sys.modules)
-for step, argv in json.loads(sys.argv[1]):
-    assert ecmoments.cli.main(argv) == 0, step
+for step, argv, codes in json.loads(sys.argv[1]):
+    assert ecmoments.cli.main(argv) in codes, step
     loaded[step] = sorted(sys.modules)
 print(json.dumps(loaded))
 """
+
+
+def _probe_imports(steps) -> dict:
+    """Modules loaded after `import ecmoments.cli` and after each (step, argv, exit codes)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecmoments.__file__)))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_commands_without_traces_leave_numpy_and_the_pool_unloaded(tmp_path, family_file):
     window = ["--families", family_file, "--start", "3", "--end", "12", "--threads", "2",
               "--out", str(tmp_path)]
     assert main(["moments"] + window) == 0
-    steps = [("resume", ["moments", "--resume"] + window), ("report", ["report"] + window)]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecmoments.__file__)))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = _probe_imports([("resume", ["moments", "--resume"] + window, [0]),
+                             ("report", ["report"] + window, [0])])
     assert set(loaded) == {"import", "resume", "report"}
     for stage, modules in loaded.items():
         assert not set(ENGINE_MODULES) & set(modules), stage
     assert {"ecmoments." + m for m in EAGER_MODULES} <= set(loaded["import"])
+
+
+def test_small_windows_compute_without_starting_the_pool(tmp_path):
+    window = ["--start", "3", "--end", "12", "--threads", "2", "--out", str(tmp_path)]
+    loaded = _probe_imports([("moments", ["moments"] + window, [0]),
+                             ("verify", ["verify"] + window, [0]),
+                             ("discover", ["discover", "--modulus", "2,0,0"] + window, [0, 2])])
+    for step in ("moments", "verify", "discover"):
+        assert "numpy" in loaded[step], step
+        assert "concurrent.futures.process" not in loaded[step], step
 
 
 def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
