@@ -8,7 +8,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .closed_forms import NoTemplateError, verify_family
+from .closed_forms import verify_family
 from .discovery import SOME_FALSIFIED, discover, summarize
 from .families import MomentRecord, discriminant, fiber_at, match_template
 from .io import (
@@ -37,8 +37,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      help="last prime index, inclusive (default 302)")
     sub.add_argument("--out", default="out", metavar="DIR", help="output directory")
     sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="most worker processes across primes (default 1); a window too "
-                          "small to repay their start-up runs in-process")
+                     help="most worker threads across primes (default 1); a window too "
+                          "small to repay them runs in-process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,11 +172,7 @@ def _cmd_verify(args) -> int:
         if fam.name not in by_name:
             print("family %s: no template, skipped" % (fam.name,))
             continue
-        try:
-            report = verify_family(fam, by_name[fam.name])
-        except NoTemplateError:
-            print("family %s: no template, skipped" % (fam.name,))
-            continue
+        report = verify_family(fam, by_name[fam.name])
         if report.all_ok:
             print(
                 "family %s: OK, %d primes exact (%d in the valid range)"

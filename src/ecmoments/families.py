@@ -234,9 +234,5 @@ class MomentRecord:
     sums: tuple[int, ...]
 
     @property
-    def S(self) -> dict[int, int]:
-        return {r: v for r, v in enumerate(self.sums, start=1)}
-
-    @property
     def r_max(self) -> int:
         return len(self.sums)

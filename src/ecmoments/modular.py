@@ -47,9 +47,10 @@ def sieve_primes(count: int) -> list[int]:
 
 def prime_index_of(p: int) -> int:
     """1-based index of p among the primes (index 1 is 2); ValueError when p is composite."""
-    if p < 2 or not _prime_mask(p)[p]:
+    mask = _prime_mask(p)  # one snapshot: a thread growing the mask may replace it
+    if p < 2 or not mask[p]:
         raise ValueError("%r is not prime" % (p,))
-    return _mask.count(1, 0, p) + 1
+    return mask.count(1, 0, p) + 1
 
 
 def _check_odd_prime_modulus(p: int) -> None:

@@ -1,4 +1,4 @@
-"""Moment computation, one task per prime, in-process or in a worker pool, with CSV resume."""
+"""Moment computation, one task per prime, in-process or in a thread pool, with CSV resume."""
 
 from __future__ import annotations
 
@@ -16,43 +16,28 @@ from .io import (
 from .modular import sieve_primes
 
 
-# Fibers (sum of p over the (family, prime) pairs to compute) that one worker
-# process must get to repay its start-up: _compute_missing starts at most
-# work // _WORKER_FIBERS workers and computes in-process below two. Measured
+# Fibers (sum of p over the (family, prime) pairs to compute) that each worker
+# thread needs to pay for itself: _compute_missing starts at most
+# work // _WORKER_FIBERS threads and computes in-process below two. Measured
 # with `moments` on the built-in corpus, --threads 1 against --threads 2 with
 # the pool forced on every window, alternating, 2-vCPU VM, median wall seconds:
-#   --end  fibers   in-process  pool   pool faster
-#      80  0.24 M   0.32        0.37    0/15
-#     120  0.58 M   0.40        0.42    3/15
-#     150  0.95 M   0.46        0.46    8/15
-#     175  1.33 M   0.55        0.50   12/15
-#     200  1.79 M   0.63        0.57   13/15
-#     302  4.40 M   1.01        0.78   14/15
-#     600  19.6 M   2.96        1.84    5/5
-#    1200  87.2 M   12.0        6.61    5/5
-# Two workers break even near 1 M fibers, so one must have half of that.
-_WORKER_FIBERS = 500_000
-
-
-def _prime_records(families, rows, r_max: int, p: int, positions: list[int]) -> list[MomentRecord]:
-    from .traces import prime_moment_sums
-
-    return prime_moment_sums([families[i] for i in positions], p, r_max,
-                             [rows[i] for i in positions])
-
-
-# (families, rows, r_max) of the run, set by the pool's initializer in each worker
-# process as it starts; the parent process never sets it
-_grid: tuple = ()
-
-
-def _set_grid(*grid) -> None:
-    global _grid
-    _grid = grid
-
-
-def _pool_task(task: tuple[int, list[int]]) -> list[MomentRecord]:
-    return _prime_records(*_grid, *task)
+#   --end  fibers   in-process  threads  threads faster
+#      80  0.24 M   0.35        0.39      4/15
+#     120  0.58 M   0.37        0.39      2/15
+#     150  0.95 M   0.42        0.43      4/15
+#     160  1.09 M   0.45        0.47      6/15
+#     165  1.17 M   0.41        0.41      7/15
+#     175  1.33 M   0.47        0.50      5/15
+#     190  1.59 M   0.58        0.56      9/15
+#     200  1.79 M   0.51        0.49      9/15
+#     210  1.99 M   0.62        0.58     12/15
+#     225  2.31 M   0.74        0.71     15/30
+#     250  2.91 M   0.68        0.62     14/15
+#     302  4.40 M   0.85        0.73     14/15
+#     600  19.6 M   2.65        1.78      5/5
+#    1200  87.2 M   9.96        6.19      6/6
+# Two threads break even near 1.8 M fibers, so one must have half of that.
+_WORKER_FIBERS = 900_000
 
 
 def _compute_missing(
@@ -63,29 +48,34 @@ def _compute_missing(
     One task per prime covers all of that prime's families, so the prime's
     trace tables are built once and shared. Each S_r is an exact integer, so
     the records are identical for any worker count and completion order.
-    Below two workers' worth of fibers the tasks run in-process. Above, each
-    worker gets the families and their coefficient rows once, as it starts,
-    and then takes (p, positions) tasks largest p first, one at a time, so
-    no worker is left with a tail of the biggest primes. The trace engine
-    (and with it numpy) is imported only when there is something to compute,
-    and the pool only when it is started.
+    Below two workers' worth of fibers the tasks run in-process; above, a
+    thread pool takes them largest p first, so no thread is left with a tail
+    of the biggest primes. The numpy kernel releases the GIL, so the threads
+    run in parallel on the families and rows they share. The trace engine
+    (and with it numpy) is imported only when there is something to compute.
     """
     if not missing:
         return {}
-    from .traces import coefficient_rows
+    from .traces import coefficient_rows, prime_moment_sums
 
     rows = coefficient_rows(families)
+
+    def prime_records(task: tuple[int, list[int]]) -> list[MomentRecord]:
+        p, positions = task
+        return prime_moment_sums([families[i] for i in positions], p, r_max,
+                                 [rows[i] for i in positions])
+
     largest_first = sorted(missing.items(), reverse=True)
     work = sum(p * len(positions) for p, positions in largest_first)
-    n_procs = min(workers, len(largest_first), work // _WORKER_FIBERS)
-    if n_procs <= 1:
-        results = (_prime_records(families, rows, r_max, *task) for task in largest_first)
+    n_threads = min(workers, len(largest_first), work // _WORKER_FIBERS)
+    if n_threads <= 1:
+        results = map(prime_records, largest_first)
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(n_procs, initializer=_set_grid,
-                                 initargs=(families, rows, r_max)) as pool:
-            results = list(pool.map(_pool_task, largest_first))
+        with ThreadPoolExecutor(n_threads) as pool:
+            # read in the block, so that an interrupt cancels the primes not yet started
+            results = list(pool.map(prime_records, largest_first))
     keys = ((i, p) for p, positions in largest_first for i in positions)
     return dict(zip(keys, (rec for recs in results for rec in recs)))
 

@@ -109,7 +109,8 @@ def _correlate_with_chi(weight: np.ndarray, chi_spec: np.ndarray) -> np.ndarray:
     return out
 
 
-# 15p bytes per prime (21p above 16384^2); callers work one prime at a time, so two suffice
+# 15p bytes per prime (21p above 16384^2); callers fetch a prime's tables once and pass
+# them down, so two suffice
 @lru_cache(maxsize=2)
 def trace_tables(p: int) -> TraceTables:
     """The tables behind every trace mod p, in O(p log p) time and O(p) memory.
@@ -154,12 +155,17 @@ def trace_tables(p: int) -> TraceTables:
     return TraceTables(p, chi, ss, zero_b, a_zero, inv)
 
 
-def short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a(A, B) = -sum_x chi(x^3 + A x + B) for int64 A, B in [0, p), in the tables' dtype."""
-    tt = trace_tables(p)
+def short_traces(a: np.ndarray, b: np.ndarray, tt: TraceTables) -> np.ndarray:
+    """a(A, B) = -sum_x chi(x^3 + A x + B) for int64 A, B in [0, tt.p), in the tables' dtype."""
+    p = tt.p
     ib = tt.inv[b]
-    s = a * a % p * a % p * ib % p * ib % p
-    out = tt.chi[a * b % p] * tt.ss[s]
+    s = a * a % p
+    for factor in (a, ib, ib):  # s = A^3/B^2, reduced after each product in place
+        s *= factor
+        s %= p
+    ab = a * b
+    ab %= p
+    out = tt.chi[ab] * tt.ss[s]
     on_a0 = a == 0
     out[on_a0] = tt.zero_b[b[on_a0]]
     on_b0 = b == 0
@@ -178,12 +184,15 @@ def coefficient_rows(families: list[CurveFamily]) -> list[tuple[tuple[int, ...],
             for inv in map(compute_invariants, families)]
 
 
-def _block_traces(rows: list[tuple[tuple[int, ...], tuple[int, ...]]], p: int) -> np.ndarray:
-    """traces[f, t] = a_t(p) of the family with coefficient_rows rows[f], t = 0..p-1.
+def _block_traces(
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]], tt: TraceTables
+) -> np.ndarray:
+    """traces[f, t] = a_t(p) of the family with coefficient_rows rows[f], t = 0..p-1, p = tt.p.
 
     One Horner pass over the stacked rows of A and B mod p gives every fiber's
-    A and B; one short_traces call reads the traces off trace_tables(p).
+    A and B; one short_traces call reads the traces off the tables tt.
     """
+    p = tt.p
     stacked = [a for a, _ in rows] + [b for _, b in rows]
     width = max(map(len, stacked), default=0)
     coeffs = np.array([[c % p for c in row] + [0] * (width - len(row)) for row in stacked],
@@ -191,14 +200,15 @@ def _block_traces(rows: list[tuple[tuple[int, ...], tuple[int, ...]]], p: int) -
     ts = np.arange(p, dtype=np.int64)
     acc = np.zeros((len(stacked), p), dtype=np.int64)
     for k in reversed(range(width)):
-        acc = (acc * ts + coeffs[:, k, None]) % p
-    return short_traces(acc[: len(rows)], acc[len(rows) :], p)
+        acc *= ts
+        acc += coeffs[:, k, None]
+        acc %= p
+    return short_traces(acc[: len(rows)], acc[len(rows) :], tt)
 
 
 def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
     """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
-    trace_tables(p)  # checks p before the Horner pass allocates
-    return _block_traces(coefficient_rows([fam]), p)[0].astype(np.int64)
+    return _block_traces(coefficient_rows([fam]), trace_tables(p))[0].astype(np.int64)
 
 
 def prime_moment_sums(
@@ -217,7 +227,7 @@ def prime_moment_sums(
     """
     if not 1 <= r_max <= 8:
         raise ValueError("r_max must be in 1..8, got %r" % (r_max,))
-    trace_tables(p)  # checks p; first, so the FFT's peak does not add to the block arrays
+    tt = trace_tables(p)  # checks p; first, so the FFT's peak does not add to the block arrays
     idx = prime_index_of(p)
     m = math.isqrt(4 * p)
     width = 2 * m + 1
@@ -231,14 +241,14 @@ def prime_moment_sums(
     step = max(1, _BLOCK_FIBERS // p)
     for lo in range(0, len(families), step):
         block = families[lo : lo + step]
-        traces = _block_traces(rows[lo : lo + step], p)
+        traces = _block_traces(rows[lo : lo + step], tt)
         if int(np.abs(traces).max()) > m:
             raise ArithmeticError("a trace at p=%d lies outside the Hasse range |a| <= %d" % (p, m))
         bins = traces + (m + width * np.arange(len(block)))[:, None]
         counts = np.bincount(bins.ravel(), minlength=width * len(block)).reshape(-1, width)
         sums = np.hstack([counts @ powers64, counts.astype(object) @ powers_big])
-        records += [MomentRecord(fam.name, idx, p, tuple(int(s) for s in row))
-                    for fam, row in zip(block, sums)]
+        records += [MomentRecord(fam.name, idx, p, tuple(row))  # object dtype: Python ints
+                    for fam, row in zip(block, sums.tolist())]
     return records
 
 

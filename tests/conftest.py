@@ -41,10 +41,10 @@ def records_by_family(corpus_records):
 
 @pytest.fixture
 def force_pool(monkeypatch):
-    """Start the worker pool on any window, however small, when workers > 1.
+    """Start the thread pool on any window, however small, when workers > 1.
 
-    The runner computes in-process unless the work repays each worker's
-    start-up; the tests' windows are far below that, so worker-count tests
+    The runner computes in-process unless the work repays each worker
+    thread; the tests' windows are far below that, so worker-count tests
     lower the threshold to keep the pool's results under test.
     """
     monkeypatch.setattr(runner, "_WORKER_FIBERS", 1)

@@ -317,7 +317,7 @@ def pool_spy(monkeypatch):
 
     pools = []
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
+    class Spy(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             pools.append({"workers": max_workers})
             super().__init__(max_workers, **kwargs)
@@ -327,7 +327,7 @@ def pool_spy(monkeypatch):
             pools[-1].update(primes=[p for p, _ in tasks], chunksize=chunksize)
             return super().map(fn, tasks, chunksize=chunksize)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
     return pools
 
 
@@ -343,11 +343,45 @@ def test_pool_takes_largest_primes_first(family_file, force_pool, pool_spy):
 
 def test_pool_starts_at_the_measured_crossover(pool_spy):
     corpus = builtin_corpus()
-    # 0.95 M fibers, where two workers and none were even, then 1.09 M
-    compute_records(corpus, 3, 150, r_max=1, workers=2)
+    # 1.59 M fibers, just below two threads' break-even, then 1.99 M
+    compute_records(corpus, 3, 190, r_max=1, workers=2)
     assert pool_spy == []
-    compute_records(corpus, 3, 160, r_max=1, workers=2)
+    compute_records(corpus, 3, 210, r_max=1, workers=2)
     assert [pool["workers"] for pool in pool_spy] == [2]
+
+
+def test_threads_build_each_prime_tables_once(monkeypatch, force_pool, pool_spy):
+    from collections import Counter
+
+    import ecmoments.traces as traces
+
+    fetches, builds = Counter(), Counter()
+    real_tables, real_spectrum = traces.trace_tables, traces._chi_spectrum
+
+    def fetched(p):
+        fetches[p] += 1
+        return real_tables(p)
+
+    def built(chi):
+        builds[len(chi)] += 1
+        return real_spectrum(chi)
+
+    fams = builtin_corpus()[:6]
+    expected = compute_records(fams, 3, 12, r_max=2)
+    monkeypatch.setattr(traces, "trace_tables", fetched)
+    monkeypatch.setattr(traces, "_chi_spectrum", built)
+    monkeypatch.setattr(traces, "_BLOCK_FIBERS", 1)  # a block per family at every prime
+    real_tables.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as they can
+    try:
+        assert compute_records(fams, 3, 12, r_max=2, workers=4) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert [pool["workers"] for pool in pool_spy] == [4]
+    once = Counter(sieve_primes(12)[2:])
+    assert fetches == once  # not once per block through the 2-entry cache
+    assert builds == once
 
 
 def test_pool_size_follows_the_work(monkeypatch, family_file, pool_spy):
@@ -535,7 +569,7 @@ def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, 
 
 # what a command that computes no traces must not load, and what `cli` must
 # load eagerly (bench/tracing.py wraps functions through sys.modules)
-ENGINE_MODULES = ("numpy", "ecmoments.traces", "concurrent.futures.process")
+ENGINE_MODULES = ("numpy", "ecmoments.traces", "concurrent.futures.thread")
 EAGER_MODULES = ("bias", "closed_forms", "discovery", "families", "io", "modular",
                  "report", "runner", "svg")
 
@@ -578,7 +612,7 @@ def test_small_windows_compute_without_starting_the_pool(tmp_path):
                              ("discover", ["discover", "--modulus", "2,0,0"] + window, [0, 2])])
     for step in ("moments", "verify", "discover"):
         assert "numpy" in loaded[step], step
-        assert "concurrent.futures.process" not in loaded[step], step
+        assert "concurrent.futures.thread" not in loaded[step], step
 
 
 def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
