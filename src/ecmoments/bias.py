@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .families import MomentRecord
 
@@ -12,8 +12,7 @@ from .families import MomentRecord
 EVEN_MAIN_TERMS = {2: (1, 2), 4: (2, 3), 6: (5, 4)}
 
 
-@dataclass(frozen=True)
-class ResidualSeries:
+class ResidualSeries(NamedTuple):
     family: str
     r: int
     exponent: Fraction
@@ -89,8 +88,7 @@ def odd_coefficient_series(records: list[MomentRecord], r: int) -> ResidualSerie
     return ResidualSeries(recs[0].family, r, Fraction(q), pts)
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     family: str
     r: int
     block_size: int
@@ -148,8 +146,7 @@ def block_stats(series: ResidualSeries, block_size: int) -> BlockReport:
     )
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
 
@@ -200,8 +197,7 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
-class CatalanCheck:
+class CatalanCheck(NamedTuple):
     k: int
     observed_mean: float
     predicted: float

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import (
     CurveFamily,
@@ -19,8 +19,7 @@ class NoTemplateError(ValueError):
     """Raised when a family matches none of the closed-form templates."""
 
 
-@dataclass(frozen=True)
-class ClosedFormPrediction:
+class ClosedFormPrediction(NamedTuple):
     p: int
     valid: bool  # the lemma's range; outside it the formulas are not asserted
     S1: int
@@ -97,8 +96,7 @@ def predict(template, p: int) -> ClosedFormPrediction:
     raise NoTemplateError("no closed form for %r" % (template,))
 
 
-@dataclass(frozen=True)
-class VerifyEntry:
+class VerifyEntry(NamedTuple):
     p: int
     valid: bool
     predicted_S1: int
@@ -114,8 +112,7 @@ class VerifyEntry:
         return self.predicted_S1 == self.actual_S1 and self.predicted_S2 == self.actual_S2
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     family: str
     template: object
     entries: tuple[VerifyEntry, ...]

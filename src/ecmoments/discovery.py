@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .families import MomentRecord
 
@@ -16,8 +16,7 @@ SOME_FALSIFIED = "SomeFalsified"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class FormulaFit:
+class FormulaFit(NamedTuple):
     residue: int
     modulus: int
     a: Fraction | None

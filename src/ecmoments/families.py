@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
-def _trimmed(coeffs) -> tuple[int, ...]:
-    out = [int(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+class _Coeffs(NamedTuple):
+    coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Coeffs):
     """Polynomial in t with arbitrary-precision integer coefficients.
 
     coeffs[k] multiplies t^k; trailing zeros are stripped, so the zero
-    polynomial has empty coeffs and degree -1.
+    polynomial has empty coeffs and degree -1. The arithmetic operators below
+    replace the tuple's concatenation and repetition.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
+    def __new__(cls, coeffs):
+        out = [int(c) for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        return super().__new__(cls, tuple(out))
 
     @property
     def degree(self) -> int:
@@ -105,8 +105,7 @@ def poly(spec) -> IntPolynomial:
 T = IntPolynomial((0, 1))
 
 
-@dataclass(frozen=True)
-class CurveFamily:
+class CurveFamily(NamedTuple):
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with each ai in Z[t]."""
 
     name: str
@@ -122,8 +121,7 @@ def family(name, a1, a2, a3, a4, a6, expected_rank=None) -> CurveFamily:
     return CurveFamily(name, poly(a1), poly(a2), poly(a3), poly(a4), poly(a6), expected_rank)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     b2: IntPolynomial
     b4: IntPolynomial
     b6: IntPolynomial
@@ -143,8 +141,7 @@ def compute_invariants(fam: CurveFamily) -> Invariants:
     return Invariants(b2, b4, b6, c4, c6)
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(NamedTuple):
     """Short Weierstrass fiber y^2 = x^3 + A x + B over F_p."""
 
     p: int
@@ -167,8 +164,7 @@ def discriminant(fiber: Fiber) -> int:
     return (-16 * (4 * fiber.A ** 3 + 27 * fiber.B ** 2)) % fiber.p
 
 
-@dataclass(frozen=True)
-class Template1:
+class Template1(NamedTuple):
     """Medium form y^2 = 4x^3 + a x^2 + b x + c + d t with constant a, b and d != 0."""
 
     a: int
@@ -177,17 +173,18 @@ class Template1:
     d: int
 
 
-@dataclass(frozen=True)
-class Template2:
+class Template2(NamedTuple):
     """Medium form y^2 = 4x^3 + (4m + 1) x^2 + n t x with n != 0."""
 
     m: int
     n: int
 
 
-@dataclass(frozen=True)
-class Template3:
-    """The fixed family y^2 = x^3 - t^2 x + t^4."""
+class Template3(NamedTuple):
+    """The fixed family y^2 = x^3 - t^2 x + t^4.
+
+    It has no fields, so it is an empty tuple and falsy: test a match with `is None`.
+    """
 
 
 _T3_COEFFS = ((), (), (), (0, 0, -1), (0, 0, 0, 0, 1))
@@ -224,8 +221,7 @@ def is_nondegenerate(fam: CurveFamily) -> bool:
     return not (inv.c4 ** 3 - inv.c6 ** 2).is_zero()
 
 
-@dataclass(frozen=True)
-class MomentRecord:
+class MomentRecord(NamedTuple):
     """Exact power sums S_r = sum_t a_t(p)^r for one family at one prime; sums[r - 1] is S_r."""
 
     family: str

@@ -7,9 +7,9 @@ import io as _io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import builtin_corpus
 from .families import CurveFamily, IntPolynomial, MomentRecord, is_nondegenerate
@@ -108,15 +108,14 @@ def family_file_text(families: list[CurveFamily]) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     families_path: str | None = None  # None selects the built-in corpus
     start: int = 3  # 1-based prime index; index 1 is p=2, default skips 2 and 3
     end: int = 302
     r_max: int = 7
     block_size: int = 50
     modulus_exponents: tuple[int, int, int] = (4, 3, 1)
-    exponent2: Fraction = field(default_factory=lambda: Fraction(3, 2))
+    exponent2: Fraction = Fraction(3, 2)
     out_dir: str = "out"
     workers: int = 1
     resume: bool = False

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,9 +66,11 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@dataclass(frozen=True, eq=False)
-class LegendreTable:
-    """chi[x] = (x|p) for 0 <= x < p; the array is read-only after construction."""
+class LegendreTable(NamedTuple):
+    """chi[x] = (x|p) for 0 <= x < p; the array is read-only after construction.
+
+    A tuple holding an array: compare it with `is`, never with == or by hash.
+    """
 
     p: int
     chi: np.ndarray

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bias import (
     EVEN_MAIN_TERMS,
@@ -27,19 +27,20 @@ from .svg import emit_histogram_svg
 HISTOGRAM_BINS = 10
 
 
-@dataclass
-class FamilyReport:
+class FamilyReport(NamedTuple):
+    """One family's part of the report, built once every part is computed."""
+
     name: str
     expected_rank: int | None
     n_primes: int
     p_first: int
     p_last: int
     gaps: tuple[int, ...]
-    blocks: dict[tuple[int, int], BlockReport] = field(default_factory=dict)  # (r, size)
-    odd_means: dict[int, float] = field(default_factory=dict)
-    catalan: list[CatalanCheck] = field(default_factory=list)
-    nagao: float = 0.0
-    svg_paths: list[str] = field(default_factory=list)
+    blocks: dict[tuple[int, int], BlockReport]  # (r, size)
+    odd_means: dict[int, float]
+    catalan: list[CatalanCheck]
+    nagao: float
+    svg_paths: list[str]
 
 
 def _slug(name: str) -> str:
@@ -90,20 +91,14 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
                 "warning: family %s: missing prime indices %s"
                 % (name, ", ".join(map(str, gaps)))
             )
-        rep = FamilyReport(
-            name=name,
-            expected_rank=fam.expected_rank if fam else None,
-            n_primes=len(recs),
-            p_first=recs[0].p,
-            p_last=recs[-1].p,
-            gaps=gaps,
-        )
-        rank_txt = "?" if rep.expected_rank is None else str(rep.expected_rank)
-        lines.append("== family %s (expected rank %s) ==" % (name, rank_txt))
+        rank = fam.expected_rank if fam else None
+        p_first, p_last = recs[0].p, recs[-1].p
+        lines.append("== family %s (expected rank %s) ==" % (name, "?" if rank is None else rank))
         lines.append(
             "primes: index %d..%d, p = %d..%d, n = %d"
-            % (idxs[0], idxs[-1], rep.p_first, rep.p_last, rep.n_primes)
+            % (idxs[0], idxs[-1], p_first, p_last, len(recs))
         )
+        blocks, odd_means, catalans, svg_paths = {}, {}, [], []
         for r in (2, 4, 6):
             if r > r_max:
                 continue
@@ -115,7 +110,7 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
             )
             for size in _block_sizes(config):
                 blk = block_stats(series, size)
-                rep.blocks[(r, size)] = blk
+                blocks[(r, size)] = blk
                 lines.append(
                     "  blocks of %d: %d blocks (+%d/-%d/0:%d), grand mean %.6f, "
                     "sign test p = %.6g"
@@ -126,20 +121,20 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
                 svg_path = os.path.join(config.out_dir, svg_name)
                 title = "%s: S%d block means (size %d)" % (name, r, size)
                 atomic_write_text(svg_path, emit_histogram_svg(histogram(blk, HISTOGRAM_BINS), title))
-                rep.svg_paths.append(svg_path)
+                svg_paths.append(svg_path)
         for r in (3, 5, 7):
             if r > r_max:
                 continue
             series = odd_coefficient_series(recs, r)
             mean = math.fsum(v for _, v in series.points) / len(series.points)
-            rep.odd_means[r] = mean
+            odd_means[r] = mean
             lines.append("S%d / p^%d: mean %.6f" % (r, (r + 1) // 2, mean))
-        if rep.expected_rank is not None:
+        if rank is not None:
             for k in (1, 2, 3):
                 if 2 * k + 1 > r_max:
                     continue
-                chk = catalan_check(recs, k, rep.expected_rank)
-                rep.catalan.append(chk)
+                chk = catalan_check(recs, k, rank)
+                catalans.append(chk)
                 ratio_txt = "n/a" if chk.ratio is None else "%.4f" % chk.ratio
                 lines.append(
                     "  catalan k=%d: observed %.6f, predicted %.1f, ratio %s"
@@ -147,13 +142,14 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
                 )
         else:
             lines.append("  catalan: no expected_rank configured, observed means only")
-        rep.nagao = nagao_rank_estimate(recs, rep.p_last)
+        nagao = nagao_rank_estimate(recs, p_last)
         lines.append(
             "rank estimate at x=%d: %.6f (raw first-moment average: %.6f)"
-            % (rep.p_last, rep.nagao, -rep.nagao)
+            % (p_last, nagao, -nagao)
         )
         lines.append("")
-        reports.append(rep)
+        reports.append(FamilyReport(name, rank, len(recs), p_first, p_last, gaps, blocks,
+                                    odd_means, catalans, nagao, svg_paths))
 
     text = "\n".join(warnings + [""] + lines if warnings else lines) + "\n"
     return text, reports

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,13 +32,13 @@ _MAX_MODULUS = 3037000499  # isqrt(2^63 - 1)
 _BLOCK_FIBERS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class TraceTables:
+class TraceTables(NamedTuple):
     """Every trace mod p, read off three tables (see trace_tables).
 
     ss[s] = a(s, s), zero_b[B] = a(0, B) and a_zero[A] = a(A, 0), where
     a(A, B) = -sum over x mod p of chi(x^3 + A x + B); chi[x] = (x|p) and
     inv[x] = 1/x mod p with inv[0] = 0. chi is int8, inv int64, the rest _table_dtype(p).
+    A tuple holding arrays: compare it with `is`, never with == or by hash.
     """
 
     p: int
@@ -49,19 +49,33 @@ class TraceTables:
     inv: np.ndarray
 
 
+def _primitive_root(p: int) -> int:
+    """The least generator of the units mod p; the primes of p - 1 come from trial division."""
+    n, q, factors = p - 1, 2, []
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    factors += [n] if n > 1 else []
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
 def _inverse_table(p: int) -> np.ndarray:
-    """x^(p-2) mod p for every x mod p, by vectorised square-and-multiply in place."""
-    out = np.ones(p, dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            out *= base
-            out %= p
-        base *= base
-        base %= p
-        e >>= 1
-    return out
+    """1/x mod p for every x mod p, 0 at x = 0, in O(p): g^k has inverse g^(p-1-k)."""
+    g = _primitive_root(p)
+    pw = np.ones(p - 1, dtype=np.int64)  # pw[k] = g^k, filled by doubling
+    n = 1
+    while n < p - 1:
+        m = min(n, p - 1 - n)
+        np.multiply(pw[:m], int(pw[n - 1]) * g % p, out=pw[n : n + m])
+        pw[n : n + m] %= p
+        n += m
+    inv = np.zeros(p, dtype=np.int64)
+    inv[pw[1:]] = pw[:0:-1]
+    inv[1] = 1
+    return inv
 
 
 def _fast_length(m: int) -> int:

@@ -48,6 +48,18 @@ def test_polynomial_algebra():
         T ** -1
 
 
+def test_polynomial_operators_are_arithmetic_not_tuple_operations():
+    # IntPolynomial is a tuple: its operators must never concatenate or repeat
+    assert T + T == IntPolynomial((0, 2))
+    assert T * 3 == 3 * T == IntPolynomial((0, 3))
+    assert -T == IntPolynomial((0, -1))
+    assert T ** 2 == IntPolynomial((0, 0, 1))
+    assert sum([T, T], IntPolynomial(())) == IntPolynomial((0, 2))
+    assert IntPolynomial((1, 0, 0)) == IntPolynomial((1,))
+    assert hash(IntPolynomial((1, 0, 0))) == hash(IntPolynomial((1,)))
+    assert IntPolynomial((1, 0, 0)).coeffs == (1,)
+
+
 def test_polynomial_eval_mod_matches_plain_eval():
     rng = random.Random(7)
     for _ in range(200):
@@ -174,6 +186,7 @@ def test_match_template_examples():
     assert match_template(corpus_family("1_0_0_-1_t")) == Template1(1, -4, 0, 4)
     assert match_template(corpus_family("1_0_0_t_0")) == Template2(0, 4)
     assert match_template(corpus_family("0_0_0_-t2_t4")) == Template3()
+    assert not Template3()  # an empty tuple: callers test a match with `is None`
     assert match_template(corpus_family("1_t_-19_-t-1_0")) is None
     assert match_template(rank6_family()) is None
     # b6 of degree 2 fits no template

@@ -1,6 +1,5 @@
 """Family files, CSV persistence, the runner, the report, SVGs, and the CLI."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -235,7 +234,7 @@ def test_run_moments_and_resume(tmp_path, family_file, capsys):
     # drop the last rows, leave a truncated line, then resume to byte parity
     lines = fresh.splitlines(keepends=True)
     open(path, "w", encoding="utf-8").write("".join(lines[:6]) + "fam_b,5,1")
-    resumed_cfg = dataclasses.replace(cfg, resume=True)
+    resumed_cfg = cfg._replace(resume=True)
     run_moments(resumed_cfg)
     assert open(path, encoding="utf-8").read() == fresh
 
@@ -246,7 +245,7 @@ def test_run_moments_and_resume(tmp_path, family_file, capsys):
     assert open(path, encoding="utf-8").read() == fresh
 
     with pytest.raises(ValidationError):
-        run_moments(dataclasses.replace(cfg, r_max=4, resume=True))
+        run_moments(cfg._replace(r_max=4, resume=True))
 
 
 def test_resume_warns_on_rows_outside_the_window(tmp_path, family_file, capsys):
@@ -294,7 +293,7 @@ def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file, force
     kept = [line for i, line in enumerate(lines) if i not in (2, 5, 6, 9, 14, 17, 21)]
     open(path, "w", encoding="utf-8").write("".join(kept))
     for workers in (1, 3):
-        run_moments(dataclasses.replace(cfg, resume=True, workers=workers))
+        run_moments(cfg._replace(resume=True, workers=workers))
         assert open(path, encoding="utf-8").read() == fresh
         open(path, "w", encoding="utf-8").write("".join(kept))
 
@@ -530,6 +529,15 @@ def test_cli_verify_ok(family_file, tmp_path, capsys):
     assert "family fam_b: OK" in out
 
 
+def test_cli_verify_checks_the_template3_family(tmp_path, capsys):
+    # Template3() is falsy, so a truth test in place of `is None` would skip this family
+    t3 = tmp_path / "t3.json"
+    t3.write_text(family_file_text([corpus_family("0_0_0_-t2_t4")]), encoding="utf-8")
+    assert main(["verify", "--families", str(t3), "--end", "12", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "family 0_0_0_-t2_t4: OK, 10 primes exact (10 in the valid range)\n"
+
+
 def test_cli_discover_verified_and_falsified(tmp_path, capsys):
     corpus = {f.name: f for f in builtin_corpus()}
     t2 = tmp_path / "t2.json"
@@ -567,9 +575,11 @@ def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, 
     assert "family fam_a p=5: FAIL at t=[0, 1, 2, 3, 4]" in capsys.readouterr().out
 
 
-# what a command that computes no traces must not load, and what `cli` must
-# load eagerly (bench/tracing.py wraps functions through sys.modules)
+# what a command that computes no traces must not load, what no command may
+# load (it slows every start), and what `cli` must load eagerly
+# (bench/tracing.py wraps functions through sys.modules)
 ENGINE_MODULES = ("numpy", "ecmoments.traces", "concurrent.futures.thread")
+NEVER_MODULES = ("dataclasses",)
 EAGER_MODULES = ("bias", "closed_forms", "discovery", "families", "io", "modular",
                  "report", "runner", "svg")
 
@@ -601,7 +611,7 @@ def test_commands_without_traces_leave_numpy_and_the_pool_unloaded(tmp_path, fam
                              ("report", ["report"] + window, [0])])
     assert set(loaded) == {"import", "resume", "report"}
     for stage, modules in loaded.items():
-        assert not set(ENGINE_MODULES) & set(modules), stage
+        assert not set(ENGINE_MODULES + NEVER_MODULES) & set(modules), stage
     assert {"ecmoments." + m for m in EAGER_MODULES} <= set(loaded["import"])
 
 
@@ -613,6 +623,7 @@ def test_small_windows_compute_without_starting_the_pool(tmp_path):
     for step in ("moments", "verify", "discover"):
         assert "numpy" in loaded[step], step
         assert "concurrent.futures.thread" not in loaded[step], step
+        assert not set(NEVER_MODULES) & set(loaded[step]), step
 
 
 def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):

@@ -207,7 +207,8 @@ def test_trace_tables_memory_is_linear_with_a_small_constant():
 
 
 def test_inverse_table():
-    for p in (3, 5, 101, 10007):
+    # every odd prime below 3000 (the 430th prime is 2999), then three large ones
+    for p in sieve_primes(430)[1:] + [10007, 99991, 1000003]:
         inv = _inverse_table(p)
         assert inv[0] == 0
         assert np.all(np.arange(1, p) * inv[1:] % p == 1)
@@ -221,6 +222,16 @@ def test_correlation_rejects_inexact_float():
     assert not _correlate_with_chi(np.full(p, 1.0), chi_spec).any()
     with pytest.raises(ArithmeticError):
         _correlate_with_chi(np.full(p, float(1 << 52)), chi_spec)
+
+
+def test_table_caches_return_the_same_object():
+    # the tables are tuples of arrays: == and hash do not work on them, so a
+    # cache hit must hand back the very object it built
+    for cache in (cached_legendre_table, trace_tables):
+        tables = cache(101)
+        assert cache(101) is tables
+        with pytest.raises(TypeError):
+            hash(tables)
 
 
 def test_trace_caches_are_bounded():
