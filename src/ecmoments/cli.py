@@ -190,17 +190,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .traces import point_count_oracle, traces_mod_p
+    from .traces import _block_traces, coefficient_rows, point_count_oracle, trace_tables
 
     cfg = _config(args, r_max=1)
     families = load_families(cfg)
     primes = sieve_primes(cfg.end)[cfg.start - 1 : cfg.end]
-    rng = random.Random(0)
+    rng = random.Random(0)  # drawn family-major, the order the lines are printed in
+    samples = {(i, p): range(p) if p <= 61 else sorted(rng.sample(range(p), args.samples))
+               for i in range(len(families)) for p in primes}
+    rows = coefficient_rows(families)
+    lines = {}
     status = EXIT_OK
-    for fam in families:
-        for p in primes:
-            traces = traces_mod_p(fam, p)
-            ts = range(p) if p <= 61 else sorted(rng.sample(range(p), args.samples))
+    for p in primes:  # each prime's tables are built once, for every family
+        tt = trace_tables(p)
+        for i, fam in enumerate(families):
+            traces = _block_traces([rows[i]], tt)[0]
+            ts = samples[i, p]
             bad = []
             for t in ts:
                 fib = fiber_at(fam, t, p)
@@ -211,9 +216,10 @@ def _cmd_oracle(args) -> int:
                     bad.append(t)
             if bad:
                 status = EXIT_MISMATCH
-                print("family %s p=%d: FAIL at t=%s" % (fam.name, p, bad))
-            else:
-                print("family %s p=%d: OK (%d fibers)" % (fam.name, p, len(list(ts))))
+            verdict = "FAIL at t=%s" % (bad,) if bad else "OK (%d fibers)" % (len(ts),)
+            lines[i, p] = "family %s p=%d: %s" % (fam.name, p, verdict)
+    for key in sorted(lines):
+        print(lines[key])
     return status
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from typing import NamedTuple
 
 from .corpus import builtin_corpus
 from .families import CurveFamily, IntPolynomial, MomentRecord, is_nondegenerate
+from .modular import _MAX_MODULUS
 
 
 class FamilyParseError(ValueError):
@@ -125,6 +127,10 @@ class RunConfig(NamedTuple):
             raise ValidationError("start index must be >= 3 (p = 5), got %r" % (self.start,))
         if self.end < self.start:
             raise ValidationError("end index %r below start %r" % (self.end, self.start))
+        n = self.end  # Dusart: p_n >= n (ln n + ln ln n - 1) for n >= 2; no sieve runs first
+        if n * (math.log(n) + math.log(math.log(n)) - 1) > _MAX_MODULUS:
+            raise ValidationError("end index %d reaches primes above %d, the largest modulus "
+                                  "the trace engine takes" % (n, _MAX_MODULUS))
         if not 1 <= self.r_max <= 8:
             raise ValidationError("r_max must be in 1..8, got %r" % (self.r_max,))
         if self.block_size < 1:

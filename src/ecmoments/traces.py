@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .families import CurveFamily, Fiber, MomentRecord, compute_invariants
-from .modular import cached_legendre_table, prime_index_of
+from .modular import _MAX_MODULUS, build_legendre_table, prime_index_of
 
 
 def point_count_oracle(fiber: Fiber) -> int:
@@ -23,9 +22,6 @@ def point_count_oracle(fiber: Fiber) -> int:
     roots = np.bincount(xs * xs % p, minlength=p)
     return int(roots[(xs * xs % p * xs + a * xs + b) % p].sum())
 
-
-# Horner, _inverse_table and short_traces multiply two residues in int64
-_MAX_MODULUS = 3037000499  # isqrt(2^63 - 1)
 
 # fibers per block of families at one prime: at small p every family shares
 # one block, and at large p a block is one family, so memory stays O(p)
@@ -123,11 +119,8 @@ def _correlate_with_chi(weight: np.ndarray, chi_spec: np.ndarray) -> np.ndarray:
     return out
 
 
-# 15p bytes per prime (21p above 16384^2); callers fetch a prime's tables once and pass
-# them down, so two suffice
-@lru_cache(maxsize=2)
 def trace_tables(p: int) -> TraceTables:
-    """The tables behind every trace mod p, in O(p log p) time and O(p) memory.
+    """The tables behind every trace mod p: O(p log p) time, 15p bytes held (21p above 16384^2).
 
     A twist (A, B) -> (d^2 A, d^3 B) multiplies a(A, B) by chi(d); with
     d = B/A it carries (s, s), s = A^3/B^2, to (A, B), so for AB != 0
@@ -146,7 +139,7 @@ def trace_tables(p: int) -> TraceTables:
                          % (p, _MAX_MODULUS))
     if prime_index_of(p) == 1:  # raises on composite p; index 1 is p = 2
         raise ValueError("p must be an odd prime")
-    chi = cached_legendre_table(p).chi
+    chi = build_legendre_table(p).chi
     dtype = _table_dtype(p)
     inv = _inverse_table(p)
     chi_spec = _chi_spectrum(chi)

@@ -151,6 +151,24 @@ def test_run_config_validation():
     RunConfig(exponent2=Fraction(1)).validate()
 
 
+def test_end_indices_beyond_the_largest_modulus_are_rejected_before_sieving(
+    monkeypatch, tmp_path, capsys
+):
+    from ecmoments import modular
+
+    def no_sieve(n):
+        raise AssertionError("sieved up to %d" % (n,))
+
+    monkeypatch.setattr(modular, "_prime_mask", no_sieve)
+    # Dusart's lower bound on the n-th prime first exceeds 3037000499 at n = 146458659
+    RunConfig(end=146458658).validate()
+    with pytest.raises(ValidationError, match="3037000499"):
+        RunConfig(end=146458659).validate()
+    for argv in (["moments", "--end", "1000000000"], ["verify", "--end", "200000000"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "3037000499" in capsys.readouterr().err
+
+
 def test_moments_csv_path():
     assert moments_csv_path(RunConfig(out_dir="there")) == os.path.join("there", "moments.csv")
 
@@ -370,7 +388,6 @@ def test_threads_build_each_prime_tables_once(monkeypatch, force_pool, pool_spy)
     monkeypatch.setattr(traces, "trace_tables", fetched)
     monkeypatch.setattr(traces, "_chi_spectrum", built)
     monkeypatch.setattr(traces, "_BLOCK_FIBERS", 1)  # a block per family at every prime
-    real_tables.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as they can
     try:
@@ -379,8 +396,31 @@ def test_threads_build_each_prime_tables_once(monkeypatch, force_pool, pool_spy)
         sys.setswitchinterval(interval)
     assert [pool["workers"] for pool in pool_spy] == [4]
     once = Counter(sieve_primes(12)[2:])
-    assert fetches == once  # not once per block through the 2-entry cache
+    assert fetches == once  # not once per block
     assert builds == once
+
+
+def test_trace_tables_are_freed_when_their_task_returns(monkeypatch, force_pool):
+    import gc
+    import weakref
+
+    import ecmoments.traces as traces
+
+    refs = []
+    real = traces.trace_tables
+
+    def watched(p):
+        tt = real(p)
+        refs.append(weakref.ref(tt.ss))
+        return tt
+
+    monkeypatch.setattr(traces, "trace_tables", watched)
+    fams = builtin_corpus()[:4]
+    compute_records(fams, 3, 7, r_max=2)  # in-process
+    compute_records(fams, 3, 7, r_max=2, workers=2)  # in the thread pool
+    gc.collect()
+    assert len(refs) == 10
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_pool_size_follows_the_work(monkeypatch, family_file, pool_spy):
@@ -567,12 +607,40 @@ def test_cli_oracle(family_file, tmp_path, capsys):
 def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, capsys):
     import ecmoments.traces as traces
 
-    real = traces.traces_mod_p
-    monkeypatch.setattr(traces, "traces_mod_p", lambda fam, p: real(fam, p) + 1)
+    real = traces._block_traces  # oracle reads the traces that moments sums
+    monkeypatch.setattr(traces, "_block_traces", lambda rows, tt: real(rows, tt) + 1)
     rc = main(["oracle", "--families", family_file, "--start", "3", "--end", "3",
                "--out", str(tmp_path)])
     assert rc == 2
     assert "family fam_a p=5: FAIL at t=[0, 1, 2, 3, 4]" in capsys.readouterr().out
+    # above p = 61 the fibers are sampled, drawn and printed family-major
+    rc = main(["oracle", "--families", family_file, "--start", "19", "--end", "20",
+               "--samples", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "family fam_a p=67: FAIL at t=[5, 49, 53]",
+        "family fam_a p=71: FAIL at t=[33, 62, 65]",
+        "family fam_b p=67: FAIL at t=[38, 51, 61]",
+        "family fam_b p=71: FAIL at t=[27, 45, 64]",
+    ]
+
+
+def test_cli_oracle_builds_each_prime_tables_once(family_file, tmp_path, monkeypatch, capsys):
+    from collections import Counter
+
+    import ecmoments.traces as traces
+
+    fetches = Counter()
+    real = traces.trace_tables
+
+    def fetched(p):
+        fetches[p] += 1
+        return real(p)
+
+    monkeypatch.setattr(traces, "trace_tables", fetched)
+    assert main(["oracle", "--families", family_file, "--start", "3", "--end", "20",
+                 "--out", str(tmp_path)]) == 0
+    assert fetches == Counter(sieve_primes(20)[2:])
 
 
 # what a command that computes no traces must not load, what no command may
@@ -649,8 +717,7 @@ def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
 def test_verify_builds_each_legendre_table_at_most_twice(monkeypatch, tmp_path, capsys):
     from collections import Counter
 
-    from ecmoments import modular
-    from ecmoments.traces import trace_tables
+    from ecmoments import modular, traces
 
     builds = Counter()
     real = modular.build_legendre_table
@@ -659,9 +726,9 @@ def test_verify_builds_each_legendre_table_at_most_twice(monkeypatch, tmp_path, 
         builds[p] += 1
         return real(p)
 
-    monkeypatch.setattr(modular, "build_legendre_table", counted)
+    for module in (modular, traces):  # traces imports it by name
+        monkeypatch.setattr(module, "build_legendre_table", counted)
     modular.cached_legendre_table.cache_clear()
-    trace_tables.cache_clear()
     assert main(["verify", "--start", "3", "--end", "80", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     # once for the prime's trace tables, once for the Template3 character sum

@@ -195,7 +195,6 @@ def test_fast_length_is_the_least_even_5_smooth_length():
 def test_trace_tables_memory_is_linear_with_a_small_constant():
     p = 100003
     prime_index_of(p)  # the sieve is its own cache
-    trace_tables.cache_clear()
     tracemalloc.start()
     try:
         tt = trace_tables(p)
@@ -227,17 +226,15 @@ def test_correlation_rejects_inexact_float():
 def test_table_caches_return_the_same_object():
     # the tables are tuples of arrays: == and hash do not work on them, so a
     # cache hit must hand back the very object it built
-    for cache in (cached_legendre_table, trace_tables):
-        tables = cache(101)
-        assert cache(101) is tables
-        with pytest.raises(TypeError):
-            hash(tables)
+    tables = cached_legendre_table(101)
+    assert cached_legendre_table(101) is tables
+    with pytest.raises(TypeError):
+        hash(tables)
 
 
 def test_trace_caches_are_bounded():
-    for cache in (cached_legendre_table, trace_tables):
-        assert cache.cache_info().maxsize is not None
-        cache.cache_clear()  # functools caches, so callers can reset them
+    assert cached_legendre_table.cache_info().maxsize is not None
+    cached_legendre_table.cache_clear()  # a functools cache, so callers can reset it
 
 
 def test_trace_periodicity_in_t():
@@ -402,7 +399,6 @@ def test_moduli_beyond_int64_products_are_rejected_first(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 9, 15])
 def test_tables_reject_moduli_that_are_not_odd_primes(p):
-    trace_tables.cache_clear()
     fam = corpus_family("1_0_0_-1_t")
     for call in (lambda: trace_tables(p), lambda: traces_mod_p(fam, p),
                  lambda: prime_moment_sums([fam], p)):
