@@ -9,7 +9,7 @@ from typing import NamedTuple
 from .families import MomentRecord
 
 # r -> (M_r, e_r): main term of S_r is M_r * p^{e_r}
-EVEN_MAIN_TERMS = {2: (1, 2), 4: (2, 3), 6: (5, 4)}
+EVEN_MAIN_TERMS = {2: (1, 2), 4: (2, 3), 6: (5, 4), 8: (14, 5)}
 
 
 class ResidualSeries(NamedTuple):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -157,16 +158,81 @@ def moments_csv_path(config: RunConfig) -> str:
     return os.path.join(config.out_dir, "moments.csv")
 
 
+FSYNC_THREADS = 8  # most threads one batch fsyncs its temp files on
+
+
+def _fsync_path(path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _fsync_all(paths: list) -> None:
+    """Fsync every file on min(FSYNC_THREADS, len(paths)) threads; re-raises the first failure.
+
+    The threads run only _fsync_path, which calls nothing but os functions,
+    so they open no span of bench/tracing.py, whose spans wrap public
+    functions by name and share one stack. Each thread opens one file at a
+    time, so a batch of any size holds at most FSYNC_THREADS descriptors.
+    """
+    n = min(FSYNC_THREADS, len(paths))
+    errors: list[OSError] = []
+
+    def work(share) -> None:
+        try:
+            for path in share:
+                _fsync_path(path)
+        except OSError as exc:  # raised in the caller's thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(paths[k::n],)) for k in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
+def atomic_write_files(texts: dict) -> None:
+    """Write {path: text} as one durable batch, so readers never observe a partial file.
+
+    Each text goes to <name>.tmp, creating each parent directory once. The temp
+    files are fsynced in parallel; only once every fsync has returned is each
+    renamed onto its target, and then each parent directory is fsynced once.
+    If any step raises, every temp file the batch created is removed, targets
+    not yet replaced keep their old bytes, and the error propagates.
+    """
+    batch = {Path(path): text for path, text in texts.items()}
+    dirs = dict.fromkeys(path.parent for path in batch)
+    tmps: list[Path] = []
+    try:
+        for d in dirs:
+            d.mkdir(parents=True, exist_ok=True)
+        for path, text in batch.items():
+            tmp = path.with_name(path.name + ".tmp")
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                tmps.append(tmp)
+                fh.write(text)
+        _fsync_all(tmps)
+        for tmp, path in zip(tmps, batch):
+            os.replace(tmp, path)
+        for d in dirs:
+            _fsync_path(d)
+    except BaseException:
+        for tmp in tmps:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:  # already renamed onto its target
+                pass
+        raise
+
+
 def atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Write one file through atomic_write_files."""
+    atomic_write_files({path: text})
 
 
 def moments_csv_text(records: list[MomentRecord], r_max: int) -> str:

@@ -21,7 +21,7 @@ from .bias import (
     sort_records,
 )
 from .families import MomentRecord
-from .io import RunConfig, atomic_write_text, load_families, read_moments_csv
+from .io import RunConfig, atomic_write_files, load_families, read_moments_csv
 from .svg import emit_histogram_svg
 
 HISTOGRAM_BINS = 10
@@ -62,9 +62,10 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
     """Build the bias report for every family in the CSV; writes SVGs under out_dir.
 
     The report covers grand-mean residuals for r = 2 (at the configured
-    exponent), r = 4 and 6 (at the half-integer envelope), block sign counts
+    exponent), r = 4, 6 and 8 (at the half-integer envelope), block sign counts
     with exact binomial p-values, odd-moment means with their Catalan targets,
-    and the first-moment rank estimate.
+    and the first-moment rank estimate. Every SVG is rendered first and all
+    are committed in one atomic_write_files batch.
     """
     config.validate()
     r_max, records = read_moments_csv(csv_path)
@@ -80,6 +81,7 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
     lines: list[str] = []
     warnings: list[str] = []
     reports: list[FamilyReport] = []
+    svgs: dict[str, str] = {}
     for name in ordered_names:
         recs = sort_records(by_family[name], r_max)  # by p, checked once for every series
         fam = known.get(name)
@@ -99,7 +101,7 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
             % (idxs[0], idxs[-1], p_first, p_last, len(recs))
         )
         blocks, odd_means, catalans, svg_paths = {}, {}, [], []
-        for r in (2, 4, 6):
+        for r in sorted(EVEN_MAIN_TERMS):
             if r > r_max:
                 continue
             m_r, e_r = EVEN_MAIN_TERMS[r]
@@ -120,7 +122,7 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
                 svg_name = "%s_S%d_b%d.svg" % (_slug(name), r, size)
                 svg_path = os.path.join(config.out_dir, svg_name)
                 title = "%s: S%d block means (size %d)" % (name, r, size)
-                atomic_write_text(svg_path, emit_histogram_svg(histogram(blk, HISTOGRAM_BINS), title))
+                svgs[svg_path] = emit_histogram_svg(histogram(blk, HISTOGRAM_BINS), title)
                 svg_paths.append(svg_path)
         for r in (3, 5, 7):
             if r > r_max:
@@ -151,5 +153,6 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
         reports.append(FamilyReport(name, rank, len(recs), p_first, p_last, gaps, blocks,
                                     odd_means, catalans, nagao, svg_paths))
 
+    atomic_write_files(svgs)
     text = "\n".join(warnings + [""] + lines if warnings else lines) + "\n"
     return text, reports

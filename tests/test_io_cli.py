@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,13 @@ from ecmoments import (
 )
 from ecmoments.cli import main
 from ecmoments.families import T
-from ecmoments.io import atomic_write_text, moments_csv_path, moments_csv_text
+from ecmoments.io import (
+    FSYNC_THREADS,
+    atomic_write_files,
+    atomic_write_text,
+    moments_csv_path,
+    moments_csv_text,
+)
 from ecmoments.traces import MomentRecord
 
 FAMILY_JSON = """\
@@ -226,6 +234,73 @@ def test_atomic_write_text(tmp_path):
     atomic_write_text(path, "payload")
     assert path.read_text(encoding="utf-8") == "payload"
     assert os.listdir(path.parent) == ["file.txt"]  # no .tmp left behind
+
+
+def test_atomic_write_files_fsyncs_every_file_before_any_rename(tmp_path, monkeypatch):
+    import stat
+
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    events = []  # ("file" | "dir", inode) after each fsync, ("replace", target) on each rename
+    real_replace = os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+
+    def replace(src, dst):
+        events.append(("replace", str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    dirs = [tmp_path / "a", tmp_path / "b" / "c"]
+    texts = {str(dirs[i % 2] / ("f%03d.svg" % i)): "text %d\n" % i for i in range(289)}
+    atomic_write_files(texts)
+
+    assert 1 <= len(started) <= FSYNC_THREADS
+    for path, text in texts.items():
+        assert Path(path).read_text(encoding="utf-8") == text
+    assert sorted(p for kind, p in events if kind == "replace") == sorted(texts)
+    file_fsyncs = [ino for kind, ino in events if kind == "file"]
+    assert sorted(file_fsyncs) == sorted(os.stat(path).st_ino for path in texts)  # once each
+    kinds = [kind for kind, _ in events]
+    last_file = max(i for i, kind in enumerate(kinds) if kind == "file")
+    replaces = [i for i, kind in enumerate(kinds) if kind == "replace"]
+    assert last_file < replaces[0]
+    dir_fsyncs = [(i, ino) for i, (kind, ino) in enumerate(events) if kind == "dir"]
+    assert sorted(ino for _, ino in dir_fsyncs) == sorted(os.stat(d).st_ino for d in dirs)
+    assert all(i > replaces[-1] for i, _ in dir_fsyncs)
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_atomic_write_files_cleans_up_when_an_fsync_fails(tmp_path, monkeypatch):
+    paths = [tmp_path / ("f%d.svg" % i) for i in range(5)]
+    for i, path in enumerate(paths):
+        path.write_text("old %d\n" % i, encoding="utf-8")
+    calls = []
+    lock = threading.Lock()  # the batch fsyncs on several threads
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        with lock:
+            calls.append(fd)
+            if len(calls) == 3:
+                raise OSError(5, "injected fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="injected"):
+        atomic_write_files({path: "new\n" for path in paths})
+    assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths)  # no .tmp
+    for i, path in enumerate(paths):
+        assert path.read_text(encoding="utf-8") == "old %d\n" % i
 
 
 # ---------------------------------------------------------------------- runner
@@ -558,6 +633,45 @@ def test_cli_moments_and_report(tmp_path, family_file, capsys):
     assert "== family fam_a" in report_text and "== family fam_b" in report_text
     assert os.path.exists(os.path.join(out, "fam_a_S2_b50.svg"))
     assert capsys.readouterr().out.endswith("wrote %s\n" % os.path.join(out, "report.txt"))
+
+
+def _report_outputs(out) -> dict:
+    """Every file `report` wrote under `out`, by name: report.txt and the SVGs."""
+    return {path.name: path.read_bytes()
+            for path in sorted(Path(out).iterdir()) if path.name != "moments.csv"}
+
+
+def test_cli_report_adds_s8_only_for_rmax_8(tmp_path, family_file, capsys):
+    import hashlib
+
+    outputs = {}
+    for r_max in ("7", "8"):
+        out = str(tmp_path / r_max)
+        window = ["--families", family_file, "--end", "40", "--out", out]
+        assert main(["moments", "--rmax", r_max] + window) == 0
+        assert main(["report"] + window) == 0
+        outputs[r_max] = _report_outputs(out)
+    capsys.readouterr()
+    # --rmax 7: the names and bytes of every file written before S8 was reported
+    digest = hashlib.sha256()
+    for name, data in outputs["7"].items():
+        digest.update(name.encode() + b"\0" + data + b"\0")
+    assert digest.hexdigest() == "b6fba8c640d3d03cac67276787c41afe402ec6137678d6d52472bcb81dbb26cf"
+    # --rmax 8: the same files plus one S8 section and two S8 SVGs per family
+    s8_svgs = {"fam_%s_S8_b%d.svg" % (f, b) for f in "ab" for b in (10, 50)}
+    assert set(outputs["8"]) == set(outputs["7"]) | s8_svgs
+    for name in outputs["7"]:
+        if name != "report.txt":
+            assert outputs["8"][name] == outputs["7"][name], name
+    text7 = outputs["7"]["report.txt"].decode().splitlines()
+    text8 = outputs["8"]["report.txt"].decode().splitlines()
+    s8 = [i for i, line in enumerate(text8) if line.startswith("S8 residual (S8 - 14 p^5) / p^9/2:")]
+    assert len(s8) == 2
+    for i in s8:
+        assert text8[i - 3].startswith("S6 residual")  # right after the S6 section
+        assert text8[i + 1].startswith("  blocks of 50:") and text8[i + 2].startswith("  blocks of 10:")
+    assert [line for i, line in enumerate(text8)
+            if not any(0 <= i - j <= 2 for j in s8)] == text7
 
 
 def test_cli_verify_ok(family_file, tmp_path, capsys):
