@@ -7,6 +7,7 @@ import io as _io
 import json
 import math
 import os
+import stat
 import sys
 import threading
 from fractions import Fraction
@@ -159,6 +160,7 @@ def moments_csv_path(config: RunConfig) -> str:
 
 
 FSYNC_THREADS = 8  # most threads one batch fsyncs its temp files on
+_COMPARE_CHARS = 1 << 16  # characters of a text _holds compares at a time
 
 
 def _fsync_path(path) -> None:
@@ -196,28 +198,59 @@ def _fsync_all(paths: list) -> None:
         raise errors[0]
 
 
+def _holds(path: Path, text: str) -> bool:
+    """Whether path is a regular file holding exactly text's UTF-8 bytes; any OSError counts as no.
+
+    A target that is missing, is not a regular file, or differs in size is
+    not read. Otherwise it is compared a chunk at a time, so neither its
+    bytes nor the encoded text are held whole.
+    """
+    try:
+        st = os.lstat(path)
+        size = len(text) if text.isascii() else len(text.encode("utf-8"))
+        if not stat.S_ISREG(st.st_mode) or st.st_size != size:
+            return False
+        with open(path, "rb") as fh:
+            for i in range(0, len(text), _COMPARE_CHARS):
+                part = text[i:i + _COMPARE_CHARS].encode("utf-8")
+                if fh.read(len(part)) != part:
+                    return False
+        return True
+    except OSError:
+        return False
+
+
 def atomic_write_files(texts: dict) -> None:
     """Write {path: text} as one durable batch, so readers never observe a partial file.
 
-    Each text goes to <name>.tmp, creating each parent directory once. The temp
-    files are fsynced in parallel; only once every fsync has returned is each
-    renamed onto its target, and then each parent directory is fsynced once.
+    A target that already holds the UTF-8 bytes of its text is left in place
+    (no temp file, no rename), so it keeps its inode and mtime and make-style
+    tools see no change on a rerun; there is no flag to turn this off. Every
+    other text goes to <name>.tmp, creating each parent directory once. The
+    temp files and the unchanged targets are fsynced in parallel; only once
+    every fsync has returned is each temp file renamed onto its target, and
+    then each parent directory is fsynced once, so when the call returns every
+    path holds its text durably.
     If any step raises, every temp file the batch created is removed, targets
     not yet replaced keep their old bytes, and the error propagates.
     """
     batch = {Path(path): text for path, text in texts.items()}
     dirs = dict.fromkeys(path.parent for path in batch)
+    changed: list[Path] = []
+    unchanged: list[Path] = []
+    for path, text in batch.items():
+        (unchanged if _holds(path, text) else changed).append(path)
     tmps: list[Path] = []
     try:
         for d in dirs:
             d.mkdir(parents=True, exist_ok=True)
-        for path, text in batch.items():
+        for path in changed:
             tmp = path.with_name(path.name + ".tmp")
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 tmps.append(tmp)
-                fh.write(text)
-        _fsync_all(tmps)
-        for tmp, path in zip(tmps, batch):
+                fh.write(batch[path])
+        _fsync_all(tmps + unchanged)
+        for tmp, path in zip(tmps, changed):
             os.replace(tmp, path)
         for d in dirs:
             _fsync_path(d)
@@ -258,29 +291,38 @@ def read_moments_csv(path) -> tuple[int, list[MomentRecord]]:
     """Read a moments CSV; a malformed final row is dropped with a warning on stderr.
 
     Returns (r_max, records). Malformed rows anywhere else are errors, as are
-    absent or misnamed columns.
+    absent or misnamed columns. Rows are parsed as they are read, so the
+    file's text is never held whole.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.reader(_io.StringIO(text)))
-    if not rows:
-        raise ValidationError("%s: empty CSV" % (path,))
-    header = rows[0]
-    expected_s = ["S%d" % r for r in range(1, len(header) - 2)]
-    if len(header) < 4 or header[:3] != ["family", "prime_index", "p"] or header[3:] != expected_s:
-        raise ValidationError("%s: bad header %r" % (path, ",".join(header)))
-    r_max = len(header) - 3
-    records = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        try:
-            if len(row) != len(header):
-                raise ValueError("wrong field count")
-            records.append(
-                MomentRecord(row[0], int(row[1]), int(row[2]), tuple(int(v) for v in row[3:]))
-            )
-        except ValueError:
-            if line_no == len(rows):
-                print("warning: %s: dropped malformed final row at line %d" % (path, line_no),
-                      file=sys.stderr)
-                break
-            raise ValidationError("%s: malformed row at line %d" % (path, line_no)) from None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise ValidationError("%s: empty CSV" % (path,))
+            expected_s = ["S%d" % r for r in range(1, len(header) - 2)]
+            if (len(header) < 4 or header[:3] != ["family", "prime_index", "p"]
+                    or header[3:] != expected_s):
+                raise ValidationError("%s: bad header %r" % (path, ",".join(header)))
+            r_max = len(header) - 3
+            records = []
+            torn = 0  # line of a malformed row: an error unless no row follows it
+            for line_no, row in enumerate(rows, start=2):
+                if torn:
+                    raise ValidationError("%s: malformed row at line %d" % (path, torn))
+                try:
+                    if len(row) != len(header):
+                        raise ValueError("wrong field count")
+                    records.append(MomentRecord(row[0], int(row[1]), int(row[2]),
+                                                tuple(int(v) for v in row[3:])))
+                except ValueError:
+                    torn = line_no
+    except (UnicodeDecodeError, ValidationError):
+        # A bad byte is reported before any malformed row, and at its position
+        # in the file; the streaming decoder gives its position within a chunk.
+        Path(path).read_bytes().decode("utf-8")
+        raise
+    if torn:
+        print("warning: %s: dropped malformed final row at line %d" % (path, torn),
+              file=sys.stderr)
     return r_max, records

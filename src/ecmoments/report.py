@@ -21,7 +21,7 @@ from .bias import (
     sort_records,
 )
 from .families import MomentRecord
-from .io import RunConfig, atomic_write_files, load_families, read_moments_csv
+from .io import RunConfig, ValidationError, atomic_write_files, load_families, read_moments_csv
 from .svg import emit_histogram_svg
 
 HISTOGRAM_BINS = 10
@@ -64,8 +64,9 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
     The report covers grand-mean residuals for r = 2 (at the configured
     exponent), r = 4, 6 and 8 (at the half-integer envelope), block sign counts
     with exact binomial p-values, odd-moment means with their Catalan targets,
-    and the first-moment rank estimate. Every SVG is rendered first and all
-    are committed in one atomic_write_files batch.
+    and the first-moment rank estimate. Families whose names map to one SVG
+    name, letter case aside, are rejected before anything is rendered. Every SVG is rendered first
+    and all are committed in one atomic_write_files batch.
     """
     config.validate()
     r_max, records = read_moments_csv(csv_path)
@@ -77,6 +78,14 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
         by_family.setdefault(rec.family, []).append(rec)
     ordered_names = [n for n in known if n in by_family]
     ordered_names += [n for n in by_family if n not in known]
+    slugs: dict[str, str] = {}  # casefolded, so names that differ only in case collide too
+    for name in ordered_names:
+        slug = _slug(name)
+        other = slugs.setdefault(slug.casefold(), name)
+        if other != name:
+            case = "" if _slug(other) == slug else " up to letter case"
+            raise ValidationError("families %r and %r both map to SVG names %s_*%s"
+                                  % (other, name, slug, case))
 
     lines: list[str] = []
     warnings: list[str] = []

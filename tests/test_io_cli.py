@@ -229,6 +229,19 @@ def test_read_moments_csv_malformed_rows(tmp_path, capsys):
         "warning: %s: dropped malformed final row at line 3\n" % (path,))
 
 
+def test_read_moments_csv_reports_a_bad_byte_at_its_position_in_the_file(tmp_path):
+    rows = "".join("f,%d,%d,0\n" % (i, i) for i in range(3, 3000))
+    head = b"family,prime_index,p,S1\n" + rows.encode("ascii")
+    path = tmp_path / "m.csv"
+    path.write_bytes(head + b"f,3000,\xff,0\n")  # past the reader's first decoded chunk
+    with pytest.raises(UnicodeDecodeError, match="in position %d:" % (len(head) + 7)):
+        read_moments_csv(path)
+    # the whole file is decoded before any row is parsed, so the bad byte comes first
+    path.write_bytes(b"family,prime_index,p,S1\nf,3,oops,0\n" + rows.encode("ascii") + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_moments_csv(path)
+
+
 def test_atomic_write_text(tmp_path):
     path = tmp_path / "deep" / "nested" / "file.txt"
     atomic_write_text(path, "payload")
@@ -301,6 +314,102 @@ def test_atomic_write_files_cleans_up_when_an_fsync_fails(tmp_path, monkeypatch)
     assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths)  # no .tmp
     for i, path in enumerate(paths):
         assert path.read_text(encoding="utf-8") == "old %d\n" % i
+
+
+@pytest.fixture
+def write_spy(monkeypatch):
+    """Record ("file" | "dir", inode) on each fsync and ("replace", target) on each rename."""
+    import stat
+
+    events = []
+    lock = threading.Lock()  # the batch fsyncs on several threads
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        with lock:
+            events.append(("dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+def test_atomic_write_files_leaves_byte_identical_targets_in_place(tmp_path, write_spy):
+    dirs = [tmp_path / "a", tmp_path / "b" / "c"]
+    old = {dirs[0] / "same.svg": "same\n",
+           dirs[0] / "same_size.svg": "abc\n",  # same length, other bytes
+           dirs[1] / "longer.svg": "short\n",
+           dirs[1] / "same_too.svg": "kept \u00e9\n"}  # compared as UTF-8 bytes
+    new = {dirs[0] / "same.svg": "same\n",
+           dirs[0] / "same_size.svg": "xyz\n",
+           dirs[1] / "longer.svg": "much longer\n",
+           dirs[1] / "same_too.svg": "kept \u00e9\n",
+           dirs[1] / "fresh.svg": "fresh\n"}
+    atomic_write_files(old)
+    for path in old:
+        os.utime(path, ns=(10**18, 10**18))  # an mtime no rewrite could keep
+    before = {path: os.stat(path) for path in old}
+    write_spy.clear()
+    atomic_write_files({str(path): text for path, text in new.items()})
+
+    kept = {dirs[0] / "same.svg", dirs[1] / "same_too.svg"}
+    for path, text in new.items():
+        assert path.read_text(encoding="utf-8") == text
+        assert not path.is_symlink()
+    for path in kept:
+        st = os.stat(path)
+        assert (st.st_ino, st.st_mtime_ns) == (before[path].st_ino, before[path].st_mtime_ns)
+    for path in set(old) - kept:
+        assert os.stat(path).st_ino != before[path].st_ino
+    assert sorted(p for kind, p in write_spy if kind == "replace") == sorted(
+        str(path) for path in set(new) - kept)
+    file_fsyncs = [ino for kind, ino in write_spy if kind == "file"]
+    assert sorted(file_fsyncs) == sorted(os.stat(path).st_ino for path in new)  # once each
+    dir_fsyncs = [ino for kind, ino in write_spy if kind == "dir"]
+    assert sorted(dir_fsyncs) == sorted(os.stat(d).st_ino for d in dirs)  # once each
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_atomic_write_files_compares_a_chunk_at_a_time(tmp_path, monkeypatch, write_spy):
+    monkeypatch.setattr(ecmoments.io, "_COMPARE_CHARS", 3)
+    old = {"same.svg": "abcdefgh\n", "last_chunk.svg": "abcdefgh\n",
+           "wide_same.svg": "\u00e9" * 5, "wide_other.svg": "\u00e9\u00e9\u00e9"}
+    new = {"same.svg": "abcdefgh\n", "last_chunk.svg": "abcdefgX\n",
+           "wide_same.svg": "\u00e9" * 5, "wide_other.svg": "\u00e9\u00e9ab"}  # 6 bytes each
+    atomic_write_files({tmp_path / name: text for name, text in old.items()})
+    write_spy.clear()
+    atomic_write_files({tmp_path / name: text for name, text in new.items()})
+    for name, text in new.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
+    assert sorted(p for kind, p in write_spy if kind == "replace") == [
+        str(tmp_path / "last_chunk.svg"), str(tmp_path / "wide_other.svg")]
+
+
+def test_atomic_write_files_replaces_a_symlink_to_the_same_bytes(tmp_path, write_spy):
+    real = tmp_path / "real.svg"
+    real.write_text("same\n", encoding="utf-8")
+    link = tmp_path / "link.svg"
+    link.symlink_to(real)
+    real_ino = os.stat(real).st_ino
+    atomic_write_files({link: "same\n"})
+    assert not link.is_symlink() and link.read_text(encoding="utf-8") == "same\n"
+    assert os.stat(real).st_ino == real_ino and real.read_text(encoding="utf-8") == "same\n"
+    assert [p for kind, p in write_spy if kind == "replace"] == [str(link)]
+
+
+def test_atomic_write_files_raises_on_a_directory_at_a_target(tmp_path):
+    target = tmp_path / "out.svg"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_files({target: "text\n", tmp_path / "other.svg": "other\n"})
+    assert target.is_dir()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # ---------------------------------------------------------------------- runner
@@ -672,6 +781,79 @@ def test_cli_report_adds_s8_only_for_rmax_8(tmp_path, family_file, capsys):
         assert text8[i + 1].startswith("  blocks of 50:") and text8[i + 2].startswith("  blocks of 10:")
     assert [line for i, line in enumerate(text8)
             if not any(0 <= i - j <= 2 for j in s8)] == text7
+
+
+def _inodes(out) -> dict:
+    return {path.name: os.stat(path).st_ino for path in Path(out).iterdir()}
+
+
+def test_cli_reruns_leave_unchanged_outputs_in_place(tmp_path, family_file, capsys):
+    out = str(tmp_path / "out")
+    window = ["--families", family_file, "--end", "12", "--out", out]
+    assert main(["moments"] + window) == 0
+    assert main(["report"] + window) == 0
+    first = _inodes(out)
+    assert main(["moments", "--resume"] + window) == 0  # nothing missing
+    assert main(["report"] + window) == 0
+    assert _inodes(out) == first
+
+    # --exponent 1 changes the S2 histograms and report.txt, nothing else
+    outputs = _report_outputs(out)
+    assert main(["report", "--exponent", "1"] + window) == 0
+    capsys.readouterr()
+    changed = {name for name, ino in _inodes(out).items() if ino != first[name]}
+    s2 = {name for name in first if "_S2_" in name}
+    assert len(s2) == 4 and changed == s2 | {"report.txt"}
+    assert {name for name, data in _report_outputs(out).items()
+            if data != outputs[name]} == changed
+
+
+def test_cli_resume_rewrites_a_torn_or_unevenly_written_csv(tmp_path, family_file, capsys):
+    out = tmp_path / "out"
+    window = ["--families", family_file, "--end", "12", "--out", str(out)]
+    assert main(["moments"] + window) == 0
+    csv_path = out / "moments.csv"
+    fresh = csv_path.read_bytes()
+    csv_path.write_bytes(fresh[:-5])
+    torn = os.stat(csv_path).st_ino
+    assert main(["moments", "--resume"] + window) == 0
+    assert "dropped malformed final row" in capsys.readouterr().err
+    assert csv_path.read_bytes() == fresh and os.stat(csv_path).st_ino != torn
+    # a row that parses but is not as the writer renders it ("05" for 5) is rewritten too
+    lines = fresh.decode("ascii").split("\n")
+    fields = lines[1].split(",")
+    fields[2] = "0" + fields[2]
+    lines[1] = ",".join(fields)
+    csv_path.write_text("\n".join(lines), encoding="ascii")
+    padded = os.stat(csv_path).st_ino
+    assert main(["moments", "--resume"] + window) == 0
+    assert csv_path.read_bytes() == fresh and os.stat(csv_path).st_ino != padded
+
+
+def test_report_rejects_families_whose_svg_names_collide(tmp_path, family_file, capsys):
+    entries = json.loads(FAMILY_JSON)
+    entries[0]["name"], entries[1]["name"] = "x y", "x-y"
+    fams = tmp_path / "collide.json"
+    fams.write_text(json.dumps(entries), encoding="utf-8")
+    out = tmp_path / "out"
+    window = ["--families", str(fams), "--end", "12", "--out", str(out)]
+    assert main(["moments"] + window) == 0
+    assert main(["report"] + window) == 1
+    assert capsys.readouterr().err == (
+        "error: families 'x y' and 'x-y' both map to SVG names x-y_*\n")
+    assert sorted(os.listdir(out)) == ["moments.csv"]
+    # the same two names from the CSV alone, with no family file naming them
+    with pytest.raises(ValidationError, match="'x y' and 'x-y'"):
+        run_report(out / "moments.csv", RunConfig(families_path=family_file, out_dir=str(out)))
+    assert sorted(os.listdir(out)) == ["moments.csv"]
+    # names that differ only in case share their SVG files on a case-insensitive filesystem
+    entries[0]["name"], entries[1]["name"] = "E1", "e1"
+    fams.write_text(json.dumps(entries), encoding="utf-8")
+    assert main(["moments"] + window) == 0
+    assert main(["report"] + window) == 1
+    assert capsys.readouterr().err == (
+        "error: families 'E1' and 'e1' both map to SVG names e1_* up to letter case\n")
+    assert sorted(os.listdir(out)) == ["moments.csv"]
 
 
 def test_cli_verify_ok(family_file, tmp_path, capsys):
