@@ -204,12 +204,10 @@ class CatalanCheck(NamedTuple):
     ratio: float | None  # None when the prediction is zero (rank 0)
 
 
-def catalan_check(records: list[MomentRecord], k: int, rank: int) -> CatalanCheck:
-    """Mean of S_{2k+1}/p^{k+1} against the conjectured -C_{k+1} * rank."""
+def catalan_check(observed_mean: float, k: int, rank: int) -> CatalanCheck:
+    """observed_mean, the mean of S_{2k+1}/p^{k+1}, against the conjectured -C_{k+1} * rank."""
     if not 1 <= k <= 3:
         raise ValueError("k must be in 1..3, got %r" % (k,))
-    series = odd_coefficient_series(records, 2 * k + 1)
-    observed = math.fsum(v for _, v in series.points) / len(series.points)
     predicted = -catalan(k + 1) * rank
-    ratio = observed / predicted if predicted != 0 else None
-    return CatalanCheck(k, observed, float(predicted), ratio)
+    ratio = observed_mean / predicted if predicted != 0 else None
+    return CatalanCheck(k, observed_mean, float(predicted), ratio)

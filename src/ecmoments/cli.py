@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from fractions import Fraction
@@ -15,12 +14,11 @@ from .io import (
     FamilyParseError,
     RunConfig,
     ValidationError,
-    atomic_write_text,
     load_families,
     moments_csv_path,
 )
 from .modular import sieve_primes
-from .report import run_report
+from .report import report_txt_path, run_report
 from .runner import compute_records, run_moments
 
 EXIT_OK = 0
@@ -77,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force point-count spot checks")
     _common_flags(o)
     o.add_argument("--samples", type=int, default=8,
-                   help="fibers sampled per prime when p is large (default 8)")
+                   help="fibers sampled per prime above p = 61 (default 8); a prime with "
+                        "no more fibers than that has every fiber checked")
     return ap
 
 
@@ -108,11 +107,8 @@ def _cmd_moments(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _config(args, block=args.block, exponent=args.exponent)
     csv_path = args.csv or moments_csv_path(cfg)
-    text, _ = run_report(csv_path, cfg)
-    out_path = os.path.join(cfg.out_dir, "report.txt")
-    atomic_write_text(out_path, text)
-    sys.stdout.write(text)
-    print("wrote %s" % (out_path,))
+    sys.stdout.write(run_report(csv_path, cfg))
+    print("wrote %s" % (report_txt_path(cfg),))
     return EXIT_OK
 
 
@@ -192,11 +188,14 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     from .traces import _block_traces, coefficient_rows, point_count_oracle, trace_tables
 
+    if args.samples < 1:
+        raise ValidationError("--samples must be >= 1, got %r" % (args.samples,))
     cfg = _config(args, r_max=1)
     families = load_families(cfg)
     primes = sieve_primes(cfg.end)[cfg.start - 1 : cfg.end]
+    every = max(61, args.samples)  # primes up to this have every fiber checked
     rng = random.Random(0)  # drawn family-major, the order the lines are printed in
-    samples = {(i, p): range(p) if p <= 61 else sorted(rng.sample(range(p), args.samples))
+    samples = {(i, p): range(p) if p <= every else sorted(rng.sample(range(p), args.samples))
                for i in range(len(families)) for p in primes}
     rows = coefficient_rows(families)
     lines = {}

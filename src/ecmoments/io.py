@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .corpus import builtin_corpus
 from .families import CurveFamily, IntPolynomial, MomentRecord, is_nondegenerate
-from .modular import _MAX_MODULUS
+from .modular import _MAX_MODULUS, nth_prime_bound, prime_indices
 
 
 class FamilyParseError(ValueError):
@@ -263,6 +263,14 @@ def atomic_write_files(texts: dict) -> None:
         raise
 
 
+def remove_files(paths: list) -> None:
+    """Unlink every path, then fsync each parent directory once, so the removals are durable."""
+    for path in paths:
+        os.unlink(path)
+    for d in dict.fromkeys(Path(path).parent for path in paths):
+        _fsync_path(d)
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write one file through atomic_write_files."""
     atomic_write_files({path: text})
@@ -287,12 +295,31 @@ def write_moments_csv(path, records: list[MomentRecord], r_max: int) -> None:
     atomic_write_text(path, moments_csv_text(records, r_max))
 
 
+def _first_bad_row(records: list[MomentRecord]) -> int | None:
+    """Position of the first record that repeats an earlier (family, p) or whose
+    prime_index is not the index of p among the primes (so a composite p is bad)."""
+    if not records:
+        return None
+    # a p past the largest claimed index's prime is bad unsieved, as is one the engine never takes
+    limit = min(nth_prime_bound(max(rec.prime_index for rec in records)), _MAX_MODULUS)
+    index_of = prime_indices(rec.p for rec in records if rec.p <= limit)
+    seen: dict[str, set[int]] = {}
+    for i, rec in enumerate(records):
+        ps = seen.setdefault(rec.family, set())
+        if rec.p in ps or index_of.get(rec.p) != rec.prime_index:
+            return i
+        ps.add(rec.p)
+    return None
+
+
 def read_moments_csv(path) -> tuple[int, list[MomentRecord]]:
     """Read a moments CSV; a malformed final row is dropped with a warning on stderr.
 
-    Returns (r_max, records). Malformed rows anywhere else are errors, as are
-    absent or misnamed columns. Rows are parsed as they are read, so the
-    file's text is never held whole.
+    Returns (r_max, records). A row is malformed when it does not parse,
+    repeats the (family, p) of an earlier row, or gives a prime_index that is
+    not the index of its p among the primes. Malformed rows anywhere but last
+    are errors, as are absent or misnamed columns. Rows are parsed as they are
+    read, so the file's text is never held whole.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -317,6 +344,12 @@ def read_moments_csv(path) -> tuple[int, list[MomentRecord]]:
                                                 tuple(int(v) for v in row[3:])))
                 except ValueError:
                     torn = line_no
+        bad = _first_bad_row(records)  # records[i] came from line i + 2
+        if bad is not None:
+            if torn or bad < len(records) - 1:
+                raise ValidationError("%s: malformed row at line %d" % (path, bad + 2))
+            torn = bad + 2
+            records.pop()
     except (UnicodeDecodeError, ValidationError):
         # A bad byte is reported before any malformed row, and at its position
         # in the file; the streaming decoder gives its position within a chunk.

@@ -36,24 +36,44 @@ def _prime_mask(n: int) -> bytearray:
     return mask
 
 
+def nth_prime_bound(n: int) -> int:
+    """An upper bound on the n-th prime (11 for every n < 6)."""
+    if n < 6:
+        return 11
+    return int(n * (math.log(n) + math.log(math.log(n)))) + 10  # p_n < n (ln n + ln ln n)
+
+
 def sieve_primes(count: int) -> list[int]:
     """First `count` primes, ascending, by sieve of Eratosthenes."""
     if count < 1:
         return []
     if count < 6:
         return [2, 3, 5, 7, 11][:count]
-    # n-th prime < n (ln n + ln ln n) for n >= 6
-    bound = int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    mask = _prime_mask(bound)
+    mask = _prime_mask(nth_prime_bound(count))
     return list(islice(compress(range(len(mask)), mask), count))
 
 
 def prime_index_of(p: int) -> int:
     """1-based index of p among the primes (index 1 is 2); ValueError when p is composite."""
-    mask = _prime_mask(p)  # one snapshot: a thread growing the mask may replace it
-    if p < 2 or not mask[p]:
+    index = prime_indices((p,)).get(p)
+    if index is None:
         raise ValueError("%r is not prime" % (p,))
-    return mask.count(1, 0, p) + 1
+    return index
+
+
+def prime_indices(ps) -> dict[int, int]:
+    """{p: index of p among the primes} for the primes in ps, in one pass over the mask to max(ps)."""
+    wanted = sorted(p for p in set(ps) if p >= 2)
+    # one snapshot: a thread growing the mask may replace it
+    mask = _prime_mask(wanted[-1] if wanted else 0)
+    out: dict[int, int] = {}
+    below, lo = 0, 0  # primes below lo
+    for p in wanted:
+        below += mask.count(1, lo, p)
+        lo = p
+        if mask[p]:
+            out[p] = below + 1
+    return out
 
 
 def _check_odd_prime_modulus(p: int) -> None:

@@ -6,12 +6,9 @@ import math
 import os
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .bias import (
     EVEN_MAIN_TERMS,
-    BlockReport,
-    CatalanCheck,
     block_stats,
     catalan_check,
     histogram,
@@ -21,26 +18,22 @@ from .bias import (
     sort_records,
 )
 from .families import MomentRecord
-from .io import RunConfig, ValidationError, atomic_write_files, load_families, read_moments_csv
+from .io import (
+    RunConfig,
+    ValidationError,
+    atomic_write_files,
+    load_families,
+    read_moments_csv,
+    remove_files,
+)
 from .svg import emit_histogram_svg
 
 HISTOGRAM_BINS = 10
+_SVG_NAME = r"(.+)_S[1-9][0-9]*_b[1-9][0-9]*\.svg"  # <slug>_S<r>_b<size>.svg; compiled on use
 
 
-class FamilyReport(NamedTuple):
-    """One family's part of the report, built once every part is computed."""
-
-    name: str
-    expected_rank: int | None
-    n_primes: int
-    p_first: int
-    p_last: int
-    gaps: tuple[int, ...]
-    blocks: dict[tuple[int, int], BlockReport]  # (r, size)
-    odd_means: dict[int, float]
-    catalan: list[CatalanCheck]
-    nagao: float
-    svg_paths: list[str]
+def report_txt_path(config: RunConfig) -> str:
+    return os.path.join(config.out_dir, "report.txt")
 
 
 def _slug(name: str) -> str:
@@ -58,15 +51,17 @@ def _block_sizes(config: RunConfig) -> list[int]:
     return sizes
 
 
-def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
-    """Build the bias report for every family in the CSV; writes SVGs under out_dir.
+def run_report(csv_path, config: RunConfig) -> str:
+    """Build the bias report for every family in the CSV; returns its text.
 
     The report covers grand-mean residuals for r = 2 (at the configured
     exponent), r = 4, 6 and 8 (at the half-integer envelope), block sign counts
     with exact binomial p-values, odd-moment means with their Catalan targets,
     and the first-moment rank estimate. Families whose names map to one SVG
-    name, letter case aside, are rejected before anything is rendered. Every SVG is rendered first
-    and all are committed in one atomic_write_files batch.
+    name, letter case aside, are rejected before anything is rendered. The
+    SVGs and report.txt are committed under out_dir in one atomic_write_files
+    batch. Then every <slug>_S<r>_b<size>.svg there of a reported family that
+    this run did not write is removed, durably.
     """
     config.validate()
     r_max, records = read_moments_csv(csv_path)
@@ -89,8 +84,7 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
 
     lines: list[str] = []
     warnings: list[str] = []
-    reports: list[FamilyReport] = []
-    svgs: dict[str, str] = {}
+    texts: dict[str, str] = {}  # path -> text of every file this run writes
     for name in ordered_names:
         recs = sort_records(by_family[name], r_max)  # by p, checked once for every series
         fam = known.get(name)
@@ -109,7 +103,6 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
             "primes: index %d..%d, p = %d..%d, n = %d"
             % (idxs[0], idxs[-1], p_first, p_last, len(recs))
         )
-        blocks, odd_means, catalans, svg_paths = {}, {}, [], []
         for r in sorted(EVEN_MAIN_TERMS):
             if r > r_max:
                 continue
@@ -121,7 +114,6 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
             )
             for size in _block_sizes(config):
                 blk = block_stats(series, size)
-                blocks[(r, size)] = blk
                 lines.append(
                     "  blocks of %d: %d blocks (+%d/-%d/0:%d), grand mean %.6f, "
                     "sign test p = %.6g"
@@ -129,27 +121,23 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
                        blk.grand_mean, blk.p_value)
                 )
                 svg_name = "%s_S%d_b%d.svg" % (_slug(name), r, size)
-                svg_path = os.path.join(config.out_dir, svg_name)
                 title = "%s: S%d block means (size %d)" % (name, r, size)
-                svgs[svg_path] = emit_histogram_svg(histogram(blk, HISTOGRAM_BINS), title)
-                svg_paths.append(svg_path)
+                texts[os.path.join(config.out_dir, svg_name)] = emit_histogram_svg(
+                    histogram(blk, HISTOGRAM_BINS), title)
+        odd_means = {}
         for r in (3, 5, 7):
             if r > r_max:
                 continue
             series = odd_coefficient_series(recs, r)
-            mean = math.fsum(v for _, v in series.points) / len(series.points)
-            odd_means[r] = mean
-            lines.append("S%d / p^%d: mean %.6f" % (r, (r + 1) // 2, mean))
+            odd_means[r] = math.fsum(v for _, v in series.points) / len(series.points)
+            lines.append("S%d / p^%d: mean %.6f" % (r, (r + 1) // 2, odd_means[r]))
         if rank is not None:
-            for k in (1, 2, 3):
-                if 2 * k + 1 > r_max:
-                    continue
-                chk = catalan_check(recs, k, rank)
-                catalans.append(chk)
+            for r, mean in odd_means.items():
+                chk = catalan_check(mean, (r - 1) // 2, rank)
                 ratio_txt = "n/a" if chk.ratio is None else "%.4f" % chk.ratio
                 lines.append(
                     "  catalan k=%d: observed %.6f, predicted %.1f, ratio %s"
-                    % (k, chk.observed_mean, chk.predicted, ratio_txt)
+                    % (chk.k, chk.observed_mean, chk.predicted, ratio_txt)
                 )
         else:
             lines.append("  catalan: no expected_rank configured, observed means only")
@@ -159,9 +147,12 @@ def run_report(csv_path, config: RunConfig) -> tuple[str, list[FamilyReport]]:
             % (p_last, nagao, -nagao)
         )
         lines.append("")
-        reports.append(FamilyReport(name, rank, len(recs), p_first, p_last, gaps, blocks,
-                                    odd_means, catalans, nagao, svg_paths))
 
-    atomic_write_files(svgs)
     text = "\n".join(warnings + [""] + lines if warnings else lines) + "\n"
-    return text, reports
+    texts[report_txt_path(config)] = text
+    atomic_write_files(texts)
+    reported = {_slug(name) for name in ordered_names}
+    svgs = [os.path.join(config.out_dir, entry) for entry in os.listdir(config.out_dir)
+            if (m := re.fullmatch(_SVG_NAME, entry)) and m.group(1) in reported]
+    remove_files([path for path in svgs if path not in texts])
+    return text

@@ -247,19 +247,25 @@ def test_catalan_values_and_recurrence():
         catalan(-1)
 
 
+def _odd_mean(records, r):
+    """The mean of S_r/p^{(r+1)/2} that the report prints and hands to catalan_check."""
+    series = odd_coefficient_series(records, r)
+    return math.fsum(v for _, v in series.points) / len(series.points)
+
+
 def test_catalan_check_synthetic():
     recs = [_rec(p, (0, 0, -4 * p * p)) for p in _primes(5, 61)]
-    chk = catalan_check(recs, 1, rank=2)
+    chk = catalan_check(_odd_mean(recs, 3), 1, rank=2)
     assert chk == CatalanCheck(1, -4.0, -4.0, 1.0)
-    zero = catalan_check(recs, 1, rank=0)
+    zero = catalan_check(_odd_mean(recs, 3), 1, rank=0)
     assert zero.predicted == 0.0 and zero.ratio is None
     for k in (0, 4):
         with pytest.raises(ValueError):
-            catalan_check(recs, k, rank=1)
+            catalan_check(-4.0, k, rank=1)
 
 
 def test_catalan_check_rank_one_engine(records_by_family):
     recs = records_by_family["1_t_-1_-t-1_0"]
-    chk = catalan_check(recs, 1, rank=1)
+    chk = catalan_check(_odd_mean(recs, 3), 1, rank=1)
     assert chk.predicted == -2.0
     assert chk.ratio is not None and 0.5 < chk.ratio < 1.5

@@ -628,17 +628,16 @@ def test_run_report_content_and_gaps(tmp_path):
     csv_path = tmp_path / "m.csv"
     write_moments_csv(csv_path, recs, 7)
     cfg = RunConfig(out_dir=str(tmp_path))
-    text, (rep,) = run_report(csv_path, cfg)
-    assert rep.gaps == (5,)
-    assert "missing prime indices 5" in text
+    text = run_report(csv_path, cfg)
+    assert text.startswith("warning: family 1_0_0_-1_t: missing prime indices 5\n\n")
     assert "== family 1_0_0_-1_t (expected rank 0) ==" in text
+    assert "primes: index 3..6, p = 5..13, n = 3" in text
     assert "blocks of 50:" in text and "blocks of 10:" in text
     assert "S3 / p^2: mean" in text
     assert "catalan k=1" in text
     assert "rank estimate at x=13:" in text
-    for svg in rep.svg_paths:
-        assert os.path.exists(svg)
-    names = {os.path.basename(s) for s in rep.svg_paths}
+    assert (tmp_path / "report.txt").read_text(encoding="utf-8") == text
+    names = {path.name for path in tmp_path.glob("*.svg")}
     assert names == {"1_0_0_-1_t_S%d_b%d.svg" % (r, b) for r in (2, 4, 6) for b in (50, 10)}
 
 
@@ -648,8 +647,8 @@ def test_run_report_unconfigured_rank_note(tmp_path, family_file):
     csv_path = tmp_path / "m.csv"
     write_moments_csv(csv_path, recs, 7)
     cfg = RunConfig(families_path=family_file, out_dir=str(tmp_path))
-    text, (rep,) = run_report(csv_path, cfg)
-    assert rep.expected_rank is None
+    text = run_report(csv_path, cfg)
+    assert "== family fam_b (expected rank ?) ==" in text
     assert "no expected_rank configured" in text
 
 
@@ -673,18 +672,43 @@ def test_run_report_sorts_each_family_once(monkeypatch, tmp_path):
     outputs = []
     for name in ("once", "per_series"):
         out = tmp_path / name
-        text, reps = run_report(csv_path, RunConfig(out_dir=str(out)))
-        svgs = {os.path.basename(s): open(s, "rb").read() for rep in reps for s in rep.svg_paths}
-        outputs.append((text, svgs))
+        text = run_report(csv_path, RunConfig(out_dir=str(out)))
+        outputs.append((text, _report_outputs(out)))
         if name == "once":
             assert len(sorts) == len(fams)
             # from here on every series function sorts and checks its own records
             monkeypatch.setattr(report, "sort_records",
                                 lambda records, r_max: sorted(records, key=lambda rec: rec.p))
-    # ten series per family: S2, S4 and S6 residuals, S3, S5 and S7 means,
-    # three Catalan checks and the rank estimate
-    assert len(sorts) == len(fams) + 10 * len(fams)
+    # seven series per family: S2, S4 and S6 residuals, S3, S5 and S7 means
+    # (which the Catalan checks reuse) and the rank estimate
+    assert len(sorts) == len(fams) + 7 * len(fams)
     assert outputs[0] == outputs[1]
+
+
+def test_report_commits_report_txt_and_its_svgs_in_one_batch(tmp_path, family_file, monkeypatch,
+                                                             capsys):
+    import ecmoments.io as io_mod
+    import ecmoments.report as report
+
+    out = tmp_path / "out"
+    window = ["--families", family_file, "--end", "12", "--out", str(out)]
+    assert main(["moments"] + window) == 0
+    batches, singles = [], []
+    real = report.atomic_write_files
+
+    def spy(texts):
+        batches.append(sorted(os.path.basename(path) for path in texts))
+        real(texts)
+
+    monkeypatch.setattr(report, "atomic_write_files", spy)
+    monkeypatch.setattr(io_mod, "atomic_write_text", lambda *args: singles.append(args))
+    capsys.readouterr()
+    assert main(["report"] + window) == 0
+    svgs = sorted("fam_%s_S%d_b%d.svg" % (f, r, b)
+                  for f in "ab" for r in (2, 4, 6) for b in (10, 50))
+    assert batches == [sorted(svgs + ["report.txt"])] and singles == []
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == text + "wrote %s\n" % (out / "report.txt",)
 
 
 def test_run_report_rejects_empty_csv(tmp_path):
@@ -783,6 +807,42 @@ def test_cli_report_adds_s8_only_for_rmax_8(tmp_path, family_file, capsys):
             if not any(0 <= i - j <= 2 for j in s8)] == text7
 
 
+def test_report_removes_stale_svgs_of_reported_families(tmp_path, write_spy, monkeypatch, capsys):
+    out = tmp_path / "out"
+    window = ["--end", "20", "--out", str(out)]
+    assert main(["moments", "--rmax", "8"] + window) == 0
+    assert main(["report"] + window) == 0
+    assert len(list(out.glob("*_S8_*.svg"))) == 32  # 16 families, two block sizes
+    # files of a family not in the CSV, and names report does not write, stay
+    kept = ["ghost_S8_b50.svg", "1_0_0_-1_t_S8_b050.svg", "1_0_0_-1_t_S8_b50.svg.bak",
+            "1_0_0_-1_t_S8.svg", "notes.txt"]
+    for name in kept:
+        (out / name).write_text("keep\n", encoding="utf-8")
+    assert main(["moments", "--rmax", "7"] + window) == 0
+    removed = []
+    real_unlink = os.unlink
+
+    def unlink(path):
+        removed.append(os.path.basename(path))
+        write_spy.append(("unlink", os.path.basename(path)))
+        real_unlink(path)
+
+    monkeypatch.setattr(os, "unlink", unlink)
+    write_spy.clear()
+    assert main(["report"] + window) == 0
+    capsys.readouterr()
+    assert len(removed) == 32 and all("_S8_b" in name for name in removed)
+    assert sorted(path.name for path in out.glob("*_S8_*.svg")) == [
+        "1_0_0_-1_t_S8_b050.svg", "ghost_S8_b50.svg"]
+    assert all((out / name).read_text(encoding="utf-8") == "keep\n" for name in kept)
+    assert "S8 residual" not in (out / "report.txt").read_text(encoding="utf-8")
+    # the removals come after the batch is renamed into place, and are made durable
+    last_replace = max(i for i, event in enumerate(write_spy) if event[0] == "replace")
+    unlinks = [i for i, event in enumerate(write_spy) if event[0] == "unlink"]
+    assert min(unlinks) > last_replace
+    assert write_spy[-1] == ("dir", os.stat(out).st_ino)
+
+
 def _inodes(out) -> dict:
     return {path.name: os.stat(path).st_ino for path in Path(out).iterdir()}
 
@@ -828,6 +888,39 @@ def test_cli_resume_rewrites_a_torn_or_unevenly_written_csv(tmp_path, family_fil
     padded = os.stat(csv_path).st_ino
     assert main(["moments", "--resume"] + window) == 0
     assert csv_path.read_bytes() == fresh and os.stat(csv_path).st_ino != padded
+
+
+@pytest.mark.parametrize("kind", ["repeated (family, p)", "wrong index", "composite p", "huge p"])
+def test_csv_rows_must_agree_with_the_primes(tmp_path, family_file, capsys, kind):
+    out = tmp_path / "out"
+    window = ["--families", family_file, "--end", "12", "--out", str(out)]
+    assert main(["moments"] + window) == 0
+    capsys.readouterr()
+    assert main(["report"] + window) == 0
+    fresh_report = capsys.readouterr().out
+    csv_path = out / "moments.csv"
+    fresh = csv_path.read_bytes()
+    lines = fresh.decode("ascii").splitlines(keepends=True)
+    sums = lines[1].split(",", 3)[3]  # fam_a,3,5,...
+    row = {"repeated (family, p)": lines[1],
+           "wrong index": "fam_a,14,41," + sums,  # p = 41 is prime number 13
+           "composite p": "fam_a,13,39," + sums,
+           "huge p": "fam_a,13,%d,%s" % (10 ** 40, sums)}[kind]  # rejected without a sieve
+    # anywhere but last, such a row is an error for report and for resume alike
+    csv_path.write_text(lines[0] + lines[1] + row + "".join(lines[2:]), encoding="ascii")
+    middle = csv_path.read_bytes()
+    for cmd in (["report"], ["moments", "--resume"]):
+        assert main(cmd + window) == 1
+        assert capsys.readouterr().err == "error: %s: malformed row at line 3\n" % (csv_path,)
+        assert csv_path.read_bytes() == middle
+    # as the final row it is dropped like a torn row: the outputs are a fresh run's
+    csv_path.write_text("".join(lines) + row, encoding="ascii")
+    dropped = "warning: %s: dropped malformed final row at line %d\n" % (csv_path, len(lines) + 1)
+    assert main(["report"] + window) == 0
+    assert capsys.readouterr() == (fresh_report, dropped)
+    assert main(["moments", "--resume"] + window) == 0
+    assert capsys.readouterr().err == dropped
+    assert csv_path.read_bytes() == fresh
 
 
 def test_report_rejects_families_whose_svg_names_collide(tmp_path, family_file, capsys):
@@ -918,6 +1011,29 @@ def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, 
         "family fam_a p=71: FAIL at t=[33, 62, 65]",
         "family fam_b p=67: FAIL at t=[38, 51, 61]",
         "family fam_b p=71: FAIL at t=[27, 45, 64]",
+    ]
+
+
+def test_cli_oracle_rejects_samples_below_one(family_file, tmp_path, capsys):
+    for samples in ("0", "-2"):
+        rc = main(["oracle", "--families", family_file, "--end", "12", "--samples", samples,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be >= 1, got %s\n" % (samples,)
+
+
+def test_cli_oracle_checks_every_fiber_of_a_prime_within_the_sample_count(family_file, tmp_path,
+                                                                           capsys):
+    rc = main(["oracle", "--families", family_file, "--start", "19", "--end", "20",
+               "--samples", "70", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "family fam_a p=67: OK (67 fibers)",
+        "family fam_a p=71: OK (70 fibers)",
+        "family fam_b p=67: OK (67 fibers)",
+        "family fam_b p=71: OK (70 fibers)",
     ]
 
 

@@ -51,6 +51,14 @@ def test_prime_index_of():
             prime_index_of(n)
 
 
+def test_prime_indices_agree_with_prime_index_of():
+    primes = sieve_primes(400)
+    assert modular.prime_indices(reversed(primes)) == {p: i for i, p in enumerate(primes, 1)}
+    # composites, 0, 1 and negatives are left out; a repeated p counts once
+    assert modular.prime_indices([1997, 9, 5, 5, 0, 1, -7, 2, 1001]) == {2: 1, 5: 3, 1997: 302}
+    assert modular.prime_indices([]) == {}
+
+
 def test_is_prime_matches_sympy_exhaustive():
     """prime_index_of decides primality: it raises on every non-prime, Carmichael numbers included."""
     for n in list(range(-3, 5000)) + [561, 1105, 1729, 41041, 825265]:
