@@ -54,7 +54,6 @@ from .io import (
     write_moments_csv,
 )
 from .modular import (
-    LegendreTable,
     build_legendre_table,
     cached_legendre_table,
     legendre_symbol,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .families import MomentRecord
@@ -19,34 +20,17 @@ class ResidualSeries(NamedTuple):
     points: tuple[tuple[int, float], ...]  # (p, value), ascending in p
 
 
-class SortedRecords(tuple):
-    """One family's MomentRecords in ascending p, each with at least r_max moments."""
-
-    r_max: int
-
-
-def sort_records(records: list[MomentRecord], r_max: int) -> SortedRecords:
-    """The records sorted by p and checked to hold S_1..S_r_max, once for many series.
-
-    The series functions below take a SortedRecords as it is; any other list of
-    records they sort and check on every call.
-    """
-    recs = SortedRecords(sorted(records, key=lambda rec: rec.p))
+def _by_p(records: list[MomentRecord], r: int) -> list[MomentRecord]:
+    """The records sorted by p; ValueError when there are none or one lacks S_r."""
+    recs = sorted(records, key=attrgetter("p"))
     if not recs:
         raise ValueError("no records")
-    for rec in recs:
-        if rec.r_max < r_max:
-            raise ValueError(
-                "record for p=%d has moments up to r=%d, need r=%d" % (rec.p, rec.r_max, r_max)
-            )
-    recs.r_max = r_max
+    if min(map(len, map(attrgetter("sums"), recs))) < r:  # r_max of each, at C speed
+        rec = next(rec for rec in recs if rec.r_max < r)
+        raise ValueError(
+            "record for p=%d has moments up to r=%d, need r=%d" % (rec.p, rec.r_max, r)
+        )
     return recs
-
-
-def _sorted_records(records: list[MomentRecord], r: int) -> SortedRecords:
-    if isinstance(records, SortedRecords) and records.r_max >= r:
-        return records
-    return sort_records(records, r)
 
 
 def residual_series(
@@ -64,15 +48,13 @@ def residual_series(
     exponent = Fraction(2 * e_r - 1, 2) if exponent is None else Fraction(exponent)
     if exponent not in (Fraction(e_r - 1), Fraction(2 * e_r - 1, 2)):
         raise ValueError("exponent must be %d or %d/2, got %s" % (e_r - 1, 2 * e_r - 1, exponent))
-    recs = _sorted_records(records, r)
+    recs = _by_p(records, r)
+    k = math.floor(exponent)  # exponent = k or k + 1/2
+    half = exponent != k
     pts = []
     for rec in recs:
         num = rec.sums[r - 1] - m_r * rec.p ** e_r  # exact integer
-        if exponent.denominator == 1:
-            val = num / rec.p ** exponent.numerator
-        else:
-            k = exponent.numerator // 2  # exponent = k + 1/2
-            val = num / (rec.p ** k * math.sqrt(rec.p))
+        val = num / (rec.p ** k * math.sqrt(rec.p)) if half else num / rec.p ** k
         pts.append((rec.p, val))
     fam = recs[0].family
     return ResidualSeries(fam, r, exponent, tuple(pts))
@@ -83,7 +65,7 @@ def odd_coefficient_series(records: list[MomentRecord], r: int) -> ResidualSerie
     if r % 2 == 0 or not 1 <= r <= 7:
         raise ValueError("r must be odd in 1..7, got %r" % (r,))
     q = (r + 1) // 2
-    recs = _sorted_records(records, r)
+    recs = _by_p(records, r)
     pts = tuple((rec.p, rec.sums[r - 1] / rec.p ** q) for rec in recs)
     return ResidualSeries(recs[0].family, r, Fraction(q), pts)
 
@@ -183,7 +165,7 @@ def nagao_rank_estimate(records: list[MomentRecord], x: int) -> float:
     The negated first-moment average; it tends to the rank of the family's
     group of sections, and is exactly 0.0 whenever every S_1 vanishes.
     """
-    pts = [rec for rec in _sorted_records(records, 1) if 2 < rec.p <= x]
+    pts = [rec for rec in _by_p(records, 1) if 2 < rec.p <= x]
     if not pts:
         raise ValueError("no records with p <= %r" % (x,))
     acc = math.fsum(-rec.sums[0] / rec.p * math.log(rec.p) for rec in pts)

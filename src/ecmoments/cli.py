@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -80,19 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(args, r_max=7, resume=False, block=50, exponent="3/2", modulus=(4, 3, 1)) -> RunConfig:
-    cfg = RunConfig(
-        families_path=args.families,
-        start=args.start,
-        end=args.end,
-        r_max=r_max,
-        block_size=block,
-        modulus_exponents=modulus,
-        exponent2=Fraction(1) if exponent == "1" else Fraction(3, 2),
-        out_dir=args.out,
-        workers=args.threads,
-        resume=resume,
-    )
+def _config(args, **fields) -> RunConfig:
+    """The validated RunConfig of the common flags and a command's own fields."""
+    cfg = RunConfig(families_path=args.families, start=args.start, end=args.end,
+                    out_dir=args.out, workers=args.threads, **fields)
     cfg.validate()
     return cfg
 
@@ -105,7 +97,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = _config(args, block=args.block, exponent=args.exponent)
+    cfg = _config(args, block_size=args.block, exponent2=Fraction(args.exponent))
     csv_path = args.csv or moments_csv_path(cfg)
     sys.stdout.write(run_report(csv_path, cfg))
     print("wrote %s" % (report_txt_path(cfg),))
@@ -131,7 +123,7 @@ def _records_per_family(families, cfg: RunConfig) -> list[list[MomentRecord]]:
 
 
 def _cmd_discover(args) -> int:
-    cfg = _config(args, r_max=2, modulus=_parse_modulus(args.modulus))
+    cfg = _config(args, r_max=2, modulus_exponents=_parse_modulus(args.modulus))
     e, f, g = cfg.modulus_exponents
     families = load_families(cfg)
     status = EXIT_OK
@@ -242,8 +234,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main() as a process; a reader that closes stdout early ends it with exit 1."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter's final flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

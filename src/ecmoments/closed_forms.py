@@ -69,7 +69,7 @@ def cubic_char_sum(p: int) -> int:
 
     _check_odd_prime_modulus(p)
     x = np.arange(p, dtype=np.int64)
-    return int(cached_legendre_table(p).chi[(x * x % p * x - x) % p].sum(dtype=np.int64))
+    return int(cached_legendre_table(p)[(x * x % p * x - x) % p].sum(dtype=np.int64))
 
 
 def template3_predict(p: int) -> ClosedFormPrediction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import compress, islice
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,19 +90,10 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-class LegendreTable(NamedTuple):
-    """chi[x] = (x|p) for 0 <= x < p; the array is read-only after construction.
+def build_legendre_table(p: int) -> np.ndarray:
+    """The read-only int8 array chi with chi[x] = (x|p) for 0 <= x < p.
 
-    A tuple holding an array: compare it with `is`, never with == or by hash.
-    """
-
-    p: int
-    chi: np.ndarray
-
-
-def build_legendre_table(p: int) -> LegendreTable:
-    """Tabulate the quadratic character mod p in O(p) by marking the squares.
-
+    Tabulates the quadratic character in O(p) by marking the squares.
     ValueError unless p is an odd prime.
     """
     import numpy as np
@@ -114,11 +105,11 @@ def build_legendre_table(p: int) -> LegendreTable:
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     chi[(half * half) % p] = 1
     chi.setflags(write=False)
-    return LegendreTable(p, chi)
+    return chi
 
 
 @lru_cache(maxsize=16)
-def cached_legendre_table(p: int) -> LegendreTable:
+def cached_legendre_table(p: int) -> np.ndarray:
     """build_legendre_table(p), kept for the 16 most recently used primes."""
     return build_legendre_table(p)
 

@@ -6,6 +6,7 @@ import math
 import os
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from .bias import (
     EVEN_MAIN_TERMS,
@@ -15,7 +16,6 @@ from .bias import (
     nagao_rank_estimate,
     odd_coefficient_series,
     residual_series,
-    sort_records,
 )
 from .families import MomentRecord
 from .io import (
@@ -86,7 +86,7 @@ def run_report(csv_path, config: RunConfig) -> str:
     warnings: list[str] = []
     texts: dict[str, str] = {}  # path -> text of every file this run writes
     for name in ordered_names:
-        recs = sort_records(by_family[name], r_max)  # by p, checked once for every series
+        recs = sorted(by_family[name], key=attrgetter("p"))
         fam = known.get(name)
         idxs = [r.prime_index for r in recs]
         present = set(idxs)

@@ -139,7 +139,7 @@ def trace_tables(p: int) -> TraceTables:
                          % (p, _MAX_MODULUS))
     if prime_index_of(p) == 1:  # raises on composite p; index 1 is p = 2
         raise ValueError("p must be an odd prime")
-    chi = build_legendre_table(p).chi
+    chi = build_legendre_table(p)
     dtype = _table_dtype(p)
     inv = _inverse_table(p)
     chi_spec = _chi_spectrum(chi)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ecmoments.families import CurveFamily, Fiber, compute_invariants, fiber_at
-from ecmoments.modular import LegendreTable, cached_legendre_table
+from ecmoments.modular import cached_legendre_table
 
 # elements per temporary block of the sweep; bounds memory, not results
 _CHUNK = 1 << 22
@@ -19,12 +19,11 @@ def point_count_enumeration(fiber: Fiber) -> int:
     return count
 
 
-def trace_at(fam: CurveFamily, t: int, p: int, table: LegendreTable) -> int:
-    """a_t(p) = -sum over x mod p of chi(x^3 + A x + B) for the fiber at t."""
-    if table.p != p:
-        raise ValueError("table is for p=%d, need p=%d" % (table.p, p))
+def trace_at(fam: CurveFamily, t: int, p: int, chi: np.ndarray) -> int:
+    """a_t(p) = -sum over x mod p of chi(x^3 + A x + B) for the fiber at t; chi is p's table."""
+    if len(chi) != p:
+        raise ValueError("table is for p=%d, need p=%d" % (len(chi), p))
     fib = fiber_at(fam, t, p)
-    chi = table.chi
     acc = 0
     for x in range(p):
         acc += int(chi[(x * x % p * x + fib.A * x + fib.B) % p])
@@ -35,7 +34,7 @@ def direct_short_traces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """-sum over x mod p of chi(x^3 + A x + B) for each pair of A, B in [0, p)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    chi = cached_legendre_table(p).chi
+    chi = cached_legendre_table(p)
     xs = np.arange(p, dtype=np.int64)
     cube = xs * xs % p * xs % p
     out = np.empty(len(a), dtype=np.int64)

@@ -8,6 +8,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from direct_sweep import trace_at
@@ -52,7 +53,7 @@ def test_criterion_01_legendre_sum_lemmas_exhaustive_to_97():
     rng = np.random.default_rng(1)
     checked = 0
     for p in [q for q in sieve_primes(25) if 2 < q <= 97]:
-        chi = cached_legendre_table(p).chi.astype(np.int64)
+        chi = cached_legendre_table(p).astype(np.int64)
         xs = np.arange(p, dtype=np.int64)
         # shift[v, b] = chi[(v + b) % p]
         shift = chi[(xs[:, None] + xs[None, :]) % p]
@@ -249,17 +250,17 @@ def test_criterion_10_determinism_and_pipeline(tmp_path, force_pool):
         cfg = RunConfig(families_path=str(fam_path), start=3, end=30, r_max=4,
                         out_dir=str(tmp_path / ("w%d" % workers)), workers=workers)
         path, _ = run_moments(cfg)
-        texts.append(open(path, "rb").read())
+        texts.append(Path(path).read_bytes())
     assert texts[0] == texts[1]
 
     # resume after truncation reproduces the fresh bytes
     path = str(tmp_path / "w1" / "moments.csv")
     lines = texts[0].decode().splitlines(keepends=True)
-    open(path, "w", encoding="utf-8").write("".join(lines[:15]))
+    Path(path).write_text("".join(lines[:15]), encoding="utf-8")
     cfg = RunConfig(families_path=str(fam_path), start=3, end=30, r_max=4,
                     out_dir=str(tmp_path / "w1"), resume=True)
     run_moments(cfg)
-    assert open(path, "rb").read() == texts[0]
+    assert Path(path).read_bytes() == texts[0]
 
     # CSV round trip with a 128-bit seventh moment
     wide = [MomentRecord("wide", 3, 5, (1, 2, 3, 4, 5, 6, -(2**127 - 19)))]

@@ -430,21 +430,22 @@ def test_run_moments_and_resume(tmp_path, family_file, capsys):
                     out_dir=str(tmp_path / "out"))
     path, records = run_moments(cfg)
     assert path == str(tmp_path / "out" / "moments.csv")
-    fresh = open(path, encoding="utf-8").read()
+    fresh = Path(path).read_text(encoding="utf-8")
     assert read_moments_csv(path) == (5, records)
 
     # drop the last rows, leave a truncated line, then resume to byte parity
     lines = fresh.splitlines(keepends=True)
-    open(path, "w", encoding="utf-8").write("".join(lines[:6]) + "fam_b,5,1")
+    Path(path).write_text("".join(lines[:6]) + "fam_b,5,1", encoding="utf-8")
     resumed_cfg = cfg._replace(resume=True)
     run_moments(resumed_cfg)
-    assert open(path, encoding="utf-8").read() == fresh
+    assert Path(path).read_text(encoding="utf-8") == fresh
 
     # rows for unknown families are dropped with a warning
-    open(path, "w", encoding="utf-8").write(lines[0] + "ghost,3,5,0,0,0,0,0\n" + "".join(lines[1:]))
+    Path(path).write_text(lines[0] + "ghost,3,5,0,0,0,0,0\n" + "".join(lines[1:]),
+                          encoding="utf-8")
     run_moments(resumed_cfg)
     assert "unknown family" in capsys.readouterr().err
-    assert open(path, encoding="utf-8").read() == fresh
+    assert Path(path).read_text(encoding="utf-8") == fresh
 
     with pytest.raises(ValidationError):
         run_moments(cfg._replace(r_max=4, resume=True))
@@ -454,7 +455,7 @@ def test_resume_warns_on_rows_outside_the_window(tmp_path, family_file, capsys):
     out = str(tmp_path / "out")
     common = ["--families", family_file, "--rmax", "3", "--out", out]
     assert main(["moments", "--end", "6"] + common) == 0
-    narrow = open(os.path.join(out, "moments.csv"), encoding="utf-8").read()
+    narrow = Path(out, "moments.csv").read_text(encoding="utf-8")
     stdout = capsys.readouterr().out
     assert main(["moments", "--end", "10"] + common) == 0
     capsys.readouterr()
@@ -463,7 +464,7 @@ def test_resume_warns_on_rows_outside_the_window(tmp_path, family_file, capsys):
     # two families at the four primes of indices 7..10
     assert captured.err == "warning: dropping 8 CSV rows outside prime indices 3..6\n"
     assert captured.out == stdout
-    assert open(os.path.join(out, "moments.csv"), encoding="utf-8").read() == narrow
+    assert Path(out, "moments.csv").read_text(encoding="utf-8") == narrow
 
 
 def test_resume_warns_once_per_unknown_family(tmp_path, capsys):
@@ -481,23 +482,22 @@ def test_resume_warns_once_per_unknown_family(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "warning: dropping CSV rows for unknown family %r" % (fam.name,) for fam in corpus[1:]]
     assert captured.out == fresh_stdout.replace(fresh_out, out)
-    assert (open(os.path.join(out, "moments.csv"), "rb").read()
-            == open(os.path.join(fresh_out, "moments.csv"), "rb").read())
+    assert Path(out, "moments.csv").read_bytes() == Path(fresh_out, "moments.csv").read_bytes()
 
 
 def test_resume_fills_pairs_scattered_across_primes(tmp_path, family_file, force_pool):
     cfg = RunConfig(families_path=family_file, start=3, end=14, r_max=4,
                     out_dir=str(tmp_path / "out"))
     path, _ = run_moments(cfg)
-    fresh = open(path, encoding="utf-8").read()
+    fresh = Path(path).read_text(encoding="utf-8")
     lines = fresh.splitlines(keepends=True)
     # drop rows of both families at different primes, a prime that loses both
     kept = [line for i, line in enumerate(lines) if i not in (2, 5, 6, 9, 14, 17, 21)]
-    open(path, "w", encoding="utf-8").write("".join(kept))
+    Path(path).write_text("".join(kept), encoding="utf-8")
     for workers in (1, 3):
         run_moments(cfg._replace(resume=True, workers=workers))
-        assert open(path, encoding="utf-8").read() == fresh
-        open(path, "w", encoding="utf-8").write("".join(kept))
+        assert Path(path).read_text(encoding="utf-8") == fresh
+        Path(path).write_text("".join(kept), encoding="utf-8")
 
 
 def test_run_moments_deterministic_across_workers(tmp_path, family_file, force_pool):
@@ -507,7 +507,7 @@ def test_run_moments_deterministic_across_workers(tmp_path, family_file, force_p
         cfg = RunConfig(families_path=family_file, start=3, end=12, r_max=3,
                         out_dir=str(out), workers=workers)
         path, _ = run_moments(cfg)
-        texts.append(open(path, "rb").read())
+        texts.append(Path(path).read_bytes())
     assert texts[0] == texts[1]
 
 
@@ -652,39 +652,6 @@ def test_run_report_unconfigured_rank_note(tmp_path, family_file):
     assert "no expected_rank configured" in text
 
 
-def test_run_report_sorts_each_family_once(monkeypatch, tmp_path):
-    import random
-
-    from ecmoments import bias, report
-
-    fams = builtin_corpus()[:2]
-    recs = compute_records(fams, 3, 40, r_max=7)
-    random.Random(3).shuffle(recs)
-    csv_path = tmp_path / "m.csv"
-    write_moments_csv(csv_path, recs, 7)
-    sorts = []
-
-    def counted_sorted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
-
-    monkeypatch.setattr(bias, "sorted", counted_sorted, raising=False)
-    outputs = []
-    for name in ("once", "per_series"):
-        out = tmp_path / name
-        text = run_report(csv_path, RunConfig(out_dir=str(out)))
-        outputs.append((text, _report_outputs(out)))
-        if name == "once":
-            assert len(sorts) == len(fams)
-            # from here on every series function sorts and checks its own records
-            monkeypatch.setattr(report, "sort_records",
-                                lambda records, r_max: sorted(records, key=lambda rec: rec.p))
-    # seven series per family: S2, S4 and S6 residuals, S3, S5 and S7 means
-    # (which the Catalan checks reuse) and the rank estimate
-    assert len(sorts) == len(fams) + 7 * len(fams)
-    assert outputs[0] == outputs[1]
-
-
 def test_report_commits_report_txt_and_its_svgs_in_one_batch(tmp_path, family_file, monkeypatch,
                                                              capsys):
     import ecmoments.io as io_mod
@@ -762,7 +729,7 @@ def test_cli_moments_and_report(tmp_path, family_file, capsys):
 
     rc = main(["report", "--families", family_file, "--out", out])
     assert rc == 0
-    report_text = open(os.path.join(out, "report.txt"), encoding="utf-8").read()
+    report_text = Path(out, "report.txt").read_text(encoding="utf-8")
     assert "== family fam_a" in report_text and "== family fam_b" in report_text
     assert os.path.exists(os.path.join(out, "fam_a_S2_b50.svg"))
     assert capsys.readouterr().out.endswith("wrote %s\n" % os.path.join(out, "report.txt"))
@@ -1167,3 +1134,18 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["discover", "--modulus", "9,9,9", "--out", str(tmp_path)]) == 1
     assert main(["discover", "--modulus", "1,2", "--out", str(tmp_path)]) == 1
     assert main(["moments", "--rmax", "9", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["discover", "--end", "302"], 1),  # 160 kB, more than the pipe holds
+    (["verify", "--end", "12"], 0),  # a few lines, all written at the final flush
+])
+def test_cli_process_exits_quietly_when_stdout_closes_early(tmp_path, argv, lines_read):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecmoments.__file__)))
+    argv = [sys.executable, "-m", "ecmoments.cli"] + argv + ["--out", str(tmp_path)]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"family ")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+    assert proc.returncode == 1

@@ -96,7 +96,7 @@ def test_point_count_chi_identity():
         for a in range(p):
             for b in range(p):
                 fib = Fiber(p, a, b)
-                s = sum(int(table.chi[(x * x * x + a * x + b) % p]) for x in range(p))
+                s = sum(int(table[(x * x * x + a * x + b) % p]) for x in range(p))
                 assert point_count_oracle(fib) == p + s
 
 
@@ -217,15 +217,15 @@ def test_correlation_rejects_inexact_float():
     # a constant weight correlates to exactly 0, but at 2^52 the transform's
     # rounding error reaches the units place
     p = 101
-    chi_spec = _chi_spectrum(cached_legendre_table(p).chi)
+    chi_spec = _chi_spectrum(cached_legendre_table(p))
     assert not _correlate_with_chi(np.full(p, 1.0), chi_spec).any()
     with pytest.raises(ArithmeticError):
         _correlate_with_chi(np.full(p, float(1 << 52)), chi_spec)
 
 
 def test_table_caches_return_the_same_object():
-    # the tables are tuples of arrays: == and hash do not work on them, so a
-    # cache hit must hand back the very object it built
+    # the table is an array: == and hash do not work on it, so a cache hit
+    # must hand back the very object it built
     tables = cached_legendre_table(101)
     assert cached_legendre_table(101) is tables
     with pytest.raises(TypeError):
