@@ -88,12 +88,15 @@ def binomial_two_sided(k: int, n: int) -> float:
         raise ValueError("need 0 <= k <= n")
     if n == 0:
         return 1.0
-    lo, hi = min(k, n - k), max(k, n - k)
-    if lo == hi:
+    lo = min(k, n - k)
+    if 2 * lo == n:
         return 1.0
-    num = sum(math.comb(n, i) for i in range(lo + 1))
-    num += sum(math.comb(n, i) for i in range(hi, n + 1))
-    return num / (1 << n)
+    # the upper tail from n - lo mirrors the lower one, so the two-sided sum is twice it
+    c = tail = 1
+    for i in range(lo):
+        c = c * (n - i) // (i + 1)  # C(n, i + 1), exact
+        tail += c
+    return 2 * tail / (1 << n)
 
 
 def block_stats(series: ResidualSeries, block_size: int) -> BlockReport:

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .closed_forms import verify_family
-from .discovery import SOME_FALSIFIED, discover, summarize
+from .discovery import SOME_FALSIFIED, fit_classes, fit_plan, summarize
 from .families import MomentRecord, discriminant, fiber_at, match_template
 from .io import (
     FamilyParseError,
@@ -18,7 +18,6 @@ from .io import (
     load_families,
     moments_csv_path,
 )
-from .modular import sieve_primes
 from .report import report_txt_path, run_report
 from .runner import compute_records, run_moments
 
@@ -115,22 +114,24 @@ def _parse_modulus(raw: str) -> tuple[int, int, int]:
     return e, f, g
 
 
-def _records_per_family(families, cfg: RunConfig) -> list[list[MomentRecord]]:
-    """S1 and S2 of each family over the window, from one compute_records call."""
-    records = compute_records(families, cfg.start, cfg.end, 2, cfg.workers)
-    n_primes = len(records) // max(1, len(families))
-    return [records[i * n_primes : (i + 1) * n_primes] for i in range(len(families))]
+def _records_per_family(families, primes: list[int], workers: int) -> list[list[MomentRecord]]:
+    """S1 and S2 of each family at `primes`, from one compute_records call."""
+    records = compute_records(families, primes, 2, workers)
+    n = len(primes)
+    return [records[i * n : (i + 1) * n] for i in range(len(families))]
 
 
 def _cmd_discover(args) -> int:
     cfg = _config(args, r_max=2, modulus_exponents=_parse_modulus(args.modulus))
-    e, f, g = cfg.modulus_exponents
     families = load_families(cfg)
+    # only the primes some class's fit reads are computed: none when every class is too small
+    plan = fit_plan(cfg.primes(), *cfg.modulus_exponents, robust=args.robust, floor=args.floor)
+    read = plan.read_primes()
     status = EXIT_OK
-    for fam, records in zip(families, _records_per_family(families, cfg)):
-        fits = discover(records, e, f, g, robust=args.robust, floor=args.floor)
+    for fam, records in zip(families, _records_per_family(families, read, cfg.workers)):
+        fits = fit_classes(plan, dict(zip(read, records)))
         verdict = summarize(fits)
-        print("family %s: %s (mod %d)" % (fam.name, verdict, 2 ** e * 3 ** f * 5 ** g))
+        print("family %s: %s (mod %d)" % (fam.name, verdict, plan.modulus))
         for fit in fits:
             if fit.status == "InsufficientPrimes":
                 print("  class %d: insufficient primes" % (fit.residue,))
@@ -153,8 +154,8 @@ def _cmd_verify(args) -> int:
     cfg = _config(args, r_max=2)
     families = load_families(cfg)
     templated = [fam for fam in families if match_template(fam) is not None]
-    by_name = {fam.name: records
-               for fam, records in zip(templated, _records_per_family(templated, cfg))}
+    per_family = _records_per_family(templated, cfg.primes(), cfg.workers)
+    by_name = {fam.name: records for fam, records in zip(templated, per_family)}
     status = EXIT_OK
     for fam in families:
         if fam.name not in by_name:
@@ -184,7 +185,7 @@ def _cmd_oracle(args) -> int:
         raise ValidationError("--samples must be >= 1, got %r" % (args.samples,))
     cfg = _config(args, r_max=1)
     families = load_families(cfg)
-    primes = sieve_primes(cfg.end)[cfg.start - 1 : cfg.end]
+    primes = cfg.primes()
     every = max(61, args.samples)  # primes up to this have every fiber checked
     rng = random.Random(0)  # drawn family-major, the order the lines are printed in
     samples = {(i, p): range(p) if p <= every else sorted(rng.sample(range(p), args.samples))

@@ -26,17 +26,63 @@ class FormulaFit(NamedTuple):
     first_failure: int | None
 
 
-def _fit_class(recs: list[MomentRecord], residue: int, modulus: int, skip_first: bool) -> FormulaFit:
-    if len(recs) < 4:
+class FitPlan(NamedTuple):
+    modulus: int
+    classes: list[tuple[int, list[int]]]  # (residue, the primes its fit reads), ascending residue
+
+    def read_primes(self) -> list[int]:
+        """Every prime some class's fit reads, ascending."""
+        return sorted({p for _, read in self.classes for p in read})
+
+
+def fit_plan(
+    primes: list[int], e: int = 4, f: int = 3, g: int = 1, robust: bool = False, floor: int = 10
+) -> FitPlan:
+    """The congruence classes mod 2^e 3^f 5^g of `primes` and the primes each class's fit reads.
+
+    A class with fewer than 4 primes reads none (InsufficientPrimes). The
+    default procedure leaves each class's first prime out; robust mode first
+    drops the first `floor` primes of the whole run and keeps every survivor.
+    The fit solves its law from the first two primes read and checks the rest.
+    """
+    if not (0 <= e <= 4 and 0 <= f <= 3 and 0 <= g <= 1):
+        raise ValueError("modulus exponents out of range: e=%r f=%r g=%r" % (e, f, g))
+    if floor < 0:  # checked before slicing: primes[-1:] would keep the last prime
+        raise ValueError("floor must be nonnegative, got %r" % (floor,))
+    modulus = 2 ** e * 3 ** f * 5 ** g
+    primes = sorted(primes)
+    if robust:
+        primes = primes[floor:]
+    groups: dict[int, list[int]] = {}
+    for p in primes:
+        groups.setdefault(p % modulus, []).append(p)
+    classes = []
+    for res in sorted(groups):
+        read = groups[res]
+        if len(read) < 4:
+            read = []
+        elif not robust:
+            read = read[1:]
+        classes.append((res, read))
+    return FitPlan(modulus, classes)
+
+
+def fit_classes(plan: FitPlan, records: dict[int, MomentRecord]) -> list[FormulaFit]:
+    """Each class's fit of S_2(p) - p^2 = a p + b, reading records[p] for the primes it reads."""
+    return [_fit_class([records[p] for p in read], residue, plan.modulus)
+            for residue, read in plan.classes]
+
+
+def _fit_class(recs: list[MomentRecord], residue: int, modulus: int) -> FormulaFit:
+    if not recs:
         return FormulaFit(residue, modulus, None, None, INSUFFICIENT, 0, None)
-    lo = 1 if skip_first else 0  # the class's first prime is left out of the fit entirely
-    r1, r2 = recs[lo], recs[lo + 1]
+    r1, r2 = recs[0], recs[1]
     y1 = Fraction(r1.sums[1] - r1.p ** 2)
     y2 = Fraction(r2.sums[1] - r2.p ** 2)
     a = (y2 - y1) / (r2.p - r1.p)
     b = y1 - a * r1.p
     status, first_failure, checked = VERIFIED, None, 0
-    for rec in recs[lo + 2 :]:
+    for rec in recs[2:]:
         checked += 1
         if a * rec.p + b != rec.sums[1] - rec.p ** 2:
             status, first_failure = FALSIFIED, rec.p
@@ -54,30 +100,18 @@ def discover(
 ) -> list[FormulaFit]:
     """Fit S_2(p) - p^2 = a p + b inside each congruence class mod 2^e 3^f 5^g.
 
-    Classes with fewer than 4 primes are InsufficientPrimes. The default
-    procedure ignores each class's first prime and solves the 2x2 system from
-    the next two, then checks the rest exactly. Robust mode instead drops the
-    first `floor` primes of the whole run (guarding against fit pairs below a
-    closed form's validity range), fits from the first two survivors of each
-    class, and checks all the others.
+    Each class's fit reads the primes `fit_plan` gives it, solves the 2x2
+    system from the first two and checks the rest exactly. Robust mode's
+    `floor` guards the fit pairs against primes below a closed form's
+    validity range.
     """
-    if not (0 <= e <= 4 and 0 <= f <= 3 and 0 <= g <= 1):
-        raise ValueError("modulus exponents out of range: e=%r f=%r g=%r" % (e, f, g))
-    if floor < 0:
-        raise ValueError("floor must be nonnegative, got %r" % (floor,))
-    modulus = 2 ** e * 3 ** f * 5 ** g
-    recs = sorted(records, key=lambda r: r.p)
-    for rec in recs:
+    plan = fit_plan([rec.p for rec in records], e, f, g, robust, floor)
+    by_p = {}
+    for rec in sorted(records, key=lambda r: r.p):
         if rec.r_max < 2:
             raise ValueError("record for p=%d lacks S_2" % (rec.p,))
-    if robust:
-        recs = recs[floor:]
-    groups: dict[int, list[MomentRecord]] = {}
-    for rec in recs:
-        groups.setdefault(rec.p % modulus, []).append(rec)
-    return [
-        _fit_class(groups[res], res, modulus, skip_first=not robust) for res in sorted(groups)
-    ]
+        by_p[rec.p] = rec
+    return fit_classes(plan, by_p)
 
 
 def summarize(fits: list[FormulaFit]) -> str:

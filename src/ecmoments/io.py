@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .corpus import builtin_corpus
 from .families import CurveFamily, IntPolynomial, MomentRecord, is_nondegenerate
-from .modular import _MAX_MODULUS, nth_prime_bound, prime_indices
+from .modular import _MAX_MODULUS, nth_prime_bound, prime_indices, sieve_primes
 
 
 class FamilyParseError(ValueError):
@@ -144,6 +144,10 @@ class RunConfig(NamedTuple):
             raise ValidationError("second-moment exponent must be 1 or 3/2")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1, got %r" % (self.workers,))
+
+    def primes(self) -> list[int]:
+        """The window's primes, prime indices start..end (1-based, inclusive)."""
+        return sieve_primes(self.end)[self.start - 1 : self.end]
 
 
 def load_families(config: RunConfig) -> list[CurveFamily]:

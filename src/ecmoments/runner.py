@@ -13,7 +13,6 @@ from .io import (
     read_moments_csv,
     write_moments_csv,
 )
-from .modular import sieve_primes
 
 
 # Fibers (sum of p over the (family, prime) pairs to compute) that each worker
@@ -81,13 +80,13 @@ def _compute_missing(
 
 
 def compute_records(
-    families: list[CurveFamily], start: int, end: int, r_max: int = 7, workers: int = 1
+    families: list[CurveFamily], primes: list[int], r_max: int = 7, workers: int = 1
 ) -> list[MomentRecord]:
-    """MomentRecords for prime indices start..end (1-based, inclusive), every family.
+    """MomentRecords of every family at each prime of `primes`.
 
-    Family-major order: all primes of the first family, then the next.
+    Family-major order: the primes of the first family in the order given,
+    then the next family.
     """
-    primes = sieve_primes(end)[start - 1 : end]
     everything = {p: list(range(len(families))) for p in primes} if families else {}
     done = _compute_missing(families, everything, r_max, workers)
     return [done[(i, p)] for i in range(len(families)) for p in primes]
@@ -103,7 +102,7 @@ def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
     config.validate()
     families = load_families(config)
     path = moments_csv_path(config)
-    primes = sieve_primes(config.end)[config.start - 1 : config.end]
+    primes = config.primes()
     have: dict[tuple[str, int], MomentRecord] = {}
     if config.resume:
         try:

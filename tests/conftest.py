@@ -3,7 +3,7 @@
 import pytest
 
 from ecmoments import builtin_corpus
-from ecmoments import runner
+from ecmoments import runner, sieve_primes
 from ecmoments.runner import compute_records
 
 # prime indices 3..302 give the first 300 odd primes past 3: p = 5 .. 1997
@@ -25,7 +25,8 @@ def corpus_records(corpus_families):
     criterion that consumes moment data slices this grid.
     """
     return compute_records(
-        corpus_families, CORPUS_START, CORPUS_END, r_max=CORPUS_RMAX, workers=1
+        corpus_families, sieve_primes(CORPUS_END)[CORPUS_START - 1 :], r_max=CORPUS_RMAX,
+        workers=1,
     )
 
 

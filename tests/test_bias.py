@@ -173,6 +173,15 @@ def test_binomial_symmetry_and_range():
             assert 0.0 < v <= 1.0
 
 
+def test_binomial_equals_the_termwise_sum_of_both_tails():
+    for n in list(range(201)) + [959]:
+        row = [math.comb(n, i) for i in range(n + 1)]
+        for k in range(n + 1):
+            lo, hi = min(k, n - k), max(k, n - k)
+            want = 1.0 if n == 0 or lo == hi else (sum(row[: lo + 1]) + sum(row[hi:])) / (1 << n)
+            assert binomial_two_sided(k, n) == want, (k, n)
+
+
 def test_binomial_matches_scipy():
     for n in range(1, 26):
         for k in range(n + 1):

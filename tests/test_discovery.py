@@ -13,6 +13,9 @@ from ecmoments.discovery import (
     INSUFFICIENT,
     SOME_FALSIFIED,
     VERIFIED,
+    FitPlan,
+    fit_classes,
+    fit_plan,
 )
 from ecmoments.traces import MomentRecord
 
@@ -106,6 +109,41 @@ def test_discover_order_independence():
     shuffled = recs[:]
     random.Random(4).shuffle(shuffled)
     assert discover(shuffled, e=2, f=0, g=0) == discover(recs, e=2, f=0, g=0)
+
+
+def test_fit_plan_reads_what_the_fits_read():
+    primes = sieve_primes(16)[2:]  # 5 .. 53
+    # mod 4: class 1 is 5 13 17 29 37 41 53, class 3 is 7 11 19 23 31 43 47
+    assert fit_plan(primes, e=2, f=0, g=0) == FitPlan(4, [
+        (1, [13, 17, 29, 37, 41, 53]), (3, [11, 19, 23, 31, 43, 47])])
+    # mod 8: class 5 holds 5 13 29 37 53; 1 (17 41), 3 (11 19 43) and 7 (7 23 31 47) read none
+    assert fit_plan(primes, e=3, f=0, g=0) == FitPlan(8, [
+        (1, []), (3, []), (5, [13, 29, 37, 53]), (7, [23, 31, 47])])
+    # robust: drop 5 7 11 13, then read every survivor of a class with 4 or more
+    assert fit_plan(primes, e=2, f=0, g=0, robust=True, floor=4) == FitPlan(4, [
+        (1, [17, 29, 37, 41, 53]), (3, [19, 23, 31, 43, 47])])
+    assert fit_plan(primes, e=2, f=0, g=0, robust=True, floor=len(primes)) == FitPlan(4, [])
+    assert fit_plan(primes, e=3, f=0, g=0).read_primes() == [13, 23, 29, 31, 37, 47, 53]
+    assert fit_plan(primes[::-1], e=2, f=0, g=0) == fit_plan(primes, e=2, f=0, g=0)
+
+
+def test_fit_plan_rejects_a_negative_floor_before_slicing():
+    # primes[-1:] would keep the last prime alone
+    for robust in (False, True):
+        with pytest.raises(ValueError, match="floor must be nonnegative, got -1"):
+            fit_plan([5, 7, 11, 13, 17], robust=robust, floor=-1)
+    with pytest.raises(ValueError, match="modulus exponents out of range"):
+        fit_plan([5, 7, 11, 13, 17], e=5)
+
+
+def test_fit_classes_reads_only_the_planned_records():
+    recs = {p: _rec(p, _mod4_law(p)) for p in PRIMES}
+    for robust in (False, True):
+        plan = fit_plan(PRIMES, e=2, f=0, g=0, robust=robust)
+        read = {p: recs[p] for p in plan.read_primes()}
+        assert len(read) < len(recs)
+        assert fit_classes(plan, read) == discover(list(recs.values()), e=2, f=0, g=0,
+                                                   robust=robust)
 
 
 def test_summarize_combinations():

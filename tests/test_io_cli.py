@@ -20,6 +20,7 @@ from ecmoments import (
     builtin_corpus,
     compute_records,
     corpus_family,
+    discover,
     emit_histogram_svg,
     family,
     family_file_text,
@@ -30,9 +31,11 @@ from ecmoments import (
     run_moments,
     run_report,
     sieve_primes,
+    summarize,
     write_moments_csv,
 )
 from ecmoments.cli import main
+from ecmoments.discovery import SOME_FALSIFIED
 from ecmoments.families import T
 from ecmoments.io import (
     FSYNC_THREADS,
@@ -417,10 +420,10 @@ def test_atomic_write_files_raises_on_a_directory_at_a_target(tmp_path):
 
 def test_compute_records_order_and_workers(family_file, force_pool):
     fams = parse_family_file(family_file)
-    one = compute_records(fams, 3, 10, r_max=2, workers=1)
+    one = compute_records(fams, sieve_primes(10)[2:], r_max=2, workers=1)
     assert [(r.family, r.p) for r in one[:3]] == [("fam_a", 5), ("fam_a", 7), ("fam_a", 11)]
     assert len(one) == 2 * 8
-    assert compute_records(fams, 3, 10, r_max=2, workers=3) == one
+    assert compute_records(fams, sieve_primes(10)[2:], r_max=2, workers=3) == one
     for rec in one:
         assert rec == moment_sums(next(f for f in fams if f.name == rec.family), rec.p, 2)
 
@@ -535,19 +538,19 @@ def pool_spy(monkeypatch):
 def test_pool_takes_largest_primes_first(family_file, force_pool, pool_spy):
     fams = parse_family_file(family_file)
     # 11 primes over 3 workers: no even split, and the last prime costs the most
-    in_process = compute_records(fams, 3, 13, r_max=4, workers=1)
-    assert pool_spy == []
-    assert compute_records(fams, 3, 13, r_max=4, workers=3) == in_process
     primes = sieve_primes(13)[2:]
+    in_process = compute_records(fams, primes, r_max=4, workers=1)
+    assert pool_spy == []
+    assert compute_records(fams, primes, r_max=4, workers=3) == in_process
     assert pool_spy == [{"workers": 3, "primes": primes[::-1], "chunksize": 1}]
 
 
 def test_pool_starts_at_the_measured_crossover(pool_spy):
     corpus = builtin_corpus()
     # 1.59 M fibers, just below two threads' break-even, then 1.99 M
-    compute_records(corpus, 3, 190, r_max=1, workers=2)
+    compute_records(corpus, sieve_primes(190)[2:], r_max=1, workers=2)
     assert pool_spy == []
-    compute_records(corpus, 3, 210, r_max=1, workers=2)
+    compute_records(corpus, sieve_primes(210)[2:], r_max=1, workers=2)
     assert [pool["workers"] for pool in pool_spy] == [2]
 
 
@@ -568,18 +571,19 @@ def test_threads_build_each_prime_tables_once(monkeypatch, force_pool, pool_spy)
         return real_spectrum(chi)
 
     fams = builtin_corpus()[:6]
-    expected = compute_records(fams, 3, 12, r_max=2)
+    primes = sieve_primes(12)[2:]
+    expected = compute_records(fams, primes, r_max=2)
     monkeypatch.setattr(traces, "trace_tables", fetched)
     monkeypatch.setattr(traces, "_chi_spectrum", built)
     monkeypatch.setattr(traces, "_BLOCK_FIBERS", 1)  # a block per family at every prime
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as they can
     try:
-        assert compute_records(fams, 3, 12, r_max=2, workers=4) == expected
+        assert compute_records(fams, primes, r_max=2, workers=4) == expected
     finally:
         sys.setswitchinterval(interval)
     assert [pool["workers"] for pool in pool_spy] == [4]
-    once = Counter(sieve_primes(12)[2:])
+    once = Counter(primes)
     assert fetches == once  # not once per block
     assert builds == once
 
@@ -600,8 +604,8 @@ def test_trace_tables_are_freed_when_their_task_returns(monkeypatch, force_pool)
 
     monkeypatch.setattr(traces, "trace_tables", watched)
     fams = builtin_corpus()[:4]
-    compute_records(fams, 3, 7, r_max=2)  # in-process
-    compute_records(fams, 3, 7, r_max=2, workers=2)  # in the thread pool
+    compute_records(fams, sieve_primes(7)[2:], r_max=2)  # in-process
+    compute_records(fams, sieve_primes(7)[2:], r_max=2, workers=2)  # in the thread pool
     gc.collect()
     assert len(refs) == 10
     assert [ref for ref in refs if ref() is not None] == []
@@ -611,11 +615,12 @@ def test_pool_size_follows_the_work(monkeypatch, family_file, pool_spy):
     import ecmoments.runner as runner
 
     fams = parse_family_file(family_file)
-    work = len(fams) * sum(sieve_primes(13)[2:])  # fibers of the window
-    expected = compute_records(fams, 3, 13, r_max=3)
+    primes = sieve_primes(13)[2:]
+    work = len(fams) * sum(primes)  # fibers of the window
+    expected = compute_records(fams, primes, r_max=3)
     for fibers_per_worker, started in ((work // 2 + 1, []), (work // 2, [2]), (1, [2, 4])):
         monkeypatch.setattr(runner, "_WORKER_FIBERS", fibers_per_worker)
-        assert compute_records(fams, 3, 13, r_max=3, workers=4) == expected
+        assert compute_records(fams, primes, r_max=3, workers=4) == expected
         assert [pool["workers"] for pool in pool_spy] == started
 
 
@@ -643,7 +648,7 @@ def test_run_report_content_and_gaps(tmp_path):
 
 def test_run_report_unconfigured_rank_note(tmp_path, family_file):
     fams = parse_family_file(family_file)
-    recs = compute_records(fams[1:], 3, 6, r_max=7)
+    recs = compute_records(fams[1:], sieve_primes(6)[2:], r_max=7)
     csv_path = tmp_path / "m.csv"
     write_moments_csv(csv_path, recs, 7)
     cfg = RunConfig(families_path=family_file, out_dir=str(tmp_path))
@@ -951,6 +956,83 @@ def test_cli_discover_verified_and_falsified(tmp_path, capsys):
     assert "SomeFalsified" in capsys.readouterr().out
 
 
+def _discover_on_every_prime(start, end, e, f, g, robust, floor):
+    """The stdout and exit code of `discover`, fitted by discover() on the whole window's records."""
+    families = builtin_corpus()
+    primes = sieve_primes(end)[start - 1 :]
+    records = compute_records(families, primes, r_max=2)
+    lines, status = [], 0
+    for i, fam in enumerate(families):
+        fits = discover(records[i * len(primes) : (i + 1) * len(primes)], e, f, g, robust, floor)
+        lines.append("family %s: %s (mod %d)" % (fam.name, summarize(fits), 2 ** e * 3 ** f * 5 ** g))
+        for fit in fits:
+            if fit.status == "InsufficientPrimes":
+                lines.append("  class %d: insufficient primes" % (fit.residue,))
+            elif fit.status == "Verified":
+                lines.append("  class %d: S2 - p^2 = (%s) p + (%s), verified on %d primes"
+                             % (fit.residue, fit.a, fit.b, fit.n_checked))
+            else:
+                lines.append("  class %d: falsified at p=%d (fit was (%s) p + (%s))"
+                             % (fit.residue, fit.first_failure, fit.a, fit.b))
+        if summarize(fits) == SOME_FALSIFIED:
+            status = 2
+    return "".join(line + "\n" for line in lines), status
+
+
+@pytest.mark.parametrize("start, end, modulus, robust, floor", [
+    (3, 120, (2, 0, 0), False, 10),
+    (3, 120, (2, 1, 0), False, 10),
+    (3, 120, (4, 3, 1), False, 10),
+    (3, 120, (2, 0, 0), True, 0),
+    (3, 120, (2, 1, 0), True, 4),
+    (3, 120, (2, 1, 0), True, 30),
+    (3, 120, (2, 0, 0), True, 200),  # the floor drops the whole window
+    (3, 12, (2, 0, 0), False, 10),
+    (3, 12, (4, 3, 1), False, 10),
+    (10, 10, (2, 0, 0), False, 10),
+])
+def test_cli_discover_computes_only_what_its_fits_read(tmp_path, capsys, start, end, modulus,
+                                                       robust, floor):
+    argv = ["discover", "--start", str(start), "--end", str(end),
+            "--modulus", "%d,%d,%d" % modulus, "--floor", str(floor), "--out", str(tmp_path)]
+    rc = main(argv + ["--robust"] if robust else argv)
+    assert (capsys.readouterr().out, rc) == _discover_on_every_prime(start, end, *modulus,
+                                                                     robust, floor)
+
+
+@pytest.mark.parametrize("argv, computed", [
+    (["--modulus", "2,0,0", "--end", "12"], [11, 13, 17, 19, 23, 29, 31, 37]),  # not 5 or 7
+    # after 5, 7, 11 and 13 are dropped, class 3 holds only 19, 23 and 31
+    (["--modulus", "2,0,0", "--end", "13", "--robust", "--floor", "4"], [17, 29, 37, 41]),
+    (["--end", "12"], []),  # mod 2160, every class holds one prime
+])
+def test_cli_discover_builds_tables_for_the_read_primes_only(monkeypatch, tmp_path, capsys,
+                                                             argv, computed):
+    from collections import Counter
+
+    import ecmoments.traces as traces
+
+    fetches = Counter()
+    real = traces.trace_tables
+
+    def fetched(p):
+        fetches[p] += 1
+        return real(p)
+
+    monkeypatch.setattr(traces, "trace_tables", fetched)
+    assert main(["discover", "--out", str(tmp_path)] + argv) in (0, 2)
+    capsys.readouterr()
+    assert fetches == Counter(computed)
+
+
+def test_cli_discover_rejects_a_negative_floor_before_computing(monkeypatch, tmp_path, capsys):
+    import ecmoments.cli as cli
+
+    monkeypatch.setattr(cli, "compute_records", None)  # a call would raise TypeError
+    assert main(["discover", "--floor", "-1", "--end", "12", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", "error: floor must be nonnegative, got -1\n")
+
+
 def test_cli_oracle(family_file, tmp_path, capsys):
     rc = main(["oracle", "--families", family_file, "--start", "3", "--end", "4",
                "--out", str(tmp_path)])
@@ -1071,6 +1153,13 @@ def test_small_windows_compute_without_starting_the_pool(tmp_path):
         assert "numpy" in loaded[step], step
         assert "concurrent.futures.thread" not in loaded[step], step
         assert not set(NEVER_MODULES) & set(loaded[step]), step
+
+
+def test_discover_with_no_class_to_fit_leaves_numpy_unloaded(tmp_path):
+    # at the default modulus 2160 every class of the window holds one prime
+    loaded = _probe_imports([("discover", ["discover", "--end", "12", "--out", str(tmp_path)],
+                              [0])])
+    assert not set(ENGINE_MODULES + NEVER_MODULES) & set(loaded["discover"])
 
 
 def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
