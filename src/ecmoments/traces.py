@@ -31,9 +31,9 @@ _BLOCK_FIBERS = 1 << 16
 class TraceTables(NamedTuple):
     """Every trace mod p, read off three tables (see trace_tables).
 
-    ss[s] = a(s, s), zero_b[B] = a(0, B) and a_zero[A] = a(A, 0), where
-    a(A, B) = -sum over x mod p of chi(x^3 + A x + B); chi[x] = (x|p) and
-    inv[x] = 1/x mod p with inv[0] = 0. chi is int8, inv int64, the rest _table_dtype(p).
+    ss[s] = a(s, s), by FFT, and the CM lines zero_b[B] = a(0, B) and a_zero[A] = a(A, 0),
+    by discrete log, where a(A, B) = -sum over x mod p of chi(x^3 + A x + B); chi[x] = (x|p)
+    and inv[x] = 1/x mod p with inv[0] = 0. chi is int8, inv int64, the rest _table_dtype(p).
     A tuple holding arrays: compare it with `is`, never with == or by hash.
     """
 
@@ -58,22 +58,6 @@ def _primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    """1/x mod p for every x mod p, 0 at x = 0, in O(p): g^k has inverse g^(p-1-k)."""
-    g = _primitive_root(p)
-    pw = np.ones(p - 1, dtype=np.int64)  # pw[k] = g^k, filled by doubling
-    n = 1
-    while n < p - 1:
-        m = min(n, p - 1 - n)
-        np.multiply(pw[:m], int(pw[n - 1]) * g % p, out=pw[n : n + m])
-        pw[n : n + m] %= p
-        n += m
-    inv = np.zeros(p, dtype=np.int64)
-    inv[pw[1:]] = pw[:0:-1]
-    inv[1] = 1
-    return inv
-
-
 def _fast_length(m: int) -> int:
     """The least even 2^a 3^b 5^c >= m: a length numpy's FFT transforms quickly."""
     best = 1 << max(1, (m - 1).bit_length())
@@ -92,24 +76,19 @@ def _table_dtype(p: int) -> type:
     return np.int16 if 2 * math.isqrt(p) + 1 < 1 << 15 else np.int32
 
 
-def _chi_spectrum(chi: np.ndarray) -> np.ndarray:
-    """rfft of chi||chi[:-1] at an even length n >= 2p - 1, shared by every correlation."""
-    return np.fft.rfft(np.concatenate([chi, chi[:-1]]).astype(np.float64),
-                       _fast_length(2 * len(chi) - 1))
-
-
-def _correlate_with_chi(weight: np.ndarray, chi_spec: np.ndarray) -> np.ndarray:
+def _correlate_with_chi(weight: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """C[s] = sum over v of weight[v] chi[(v + s) mod p] for s < p = len(weight), exactly.
 
-    chi_spec is _chi_spectrum(chi), of length n >= 2p - 1, so the cyclic correlation
-    of weight with chi||chi has no wraparound on s < p. C is an integer, returned as
-    float64; a value further than 0.25 from one raises ArithmeticError.
+    Both run through a real FFT of even length n >= 2p - 1, with chi repeated as
+    chi||chi[:-1], so the cyclic correlation has no wraparound on s < p. C is an
+    integer, returned as float64; a value further than 0.25 from one raises ArithmeticError.
     """
     p = len(weight)
-    spec = np.fft.rfft(weight, 2 * len(chi_spec) - 2)
+    n = _fast_length(2 * p - 1)
+    spec = np.fft.rfft(weight, n)
     np.conjugate(spec, out=spec)
-    spec *= chi_spec
-    raw = np.fft.irfft(spec)[:p]
+    spec *= np.fft.rfft(np.concatenate([chi, chi[:-1]]).astype(np.float64), n)
+    raw = np.fft.irfft(spec, n)[:p]
     del spec
     out = np.rint(raw)
     raw -= out
@@ -124,15 +103,16 @@ def trace_tables(p: int) -> TraceTables:
 
     A twist (A, B) -> (d^2 A, d^3 B) multiplies a(A, B) by chi(d); with
     d = B/A it carries (s, s), s = A^3/B^2, to (A, B), so for AB != 0
-    a(A, B) = chi(AB) a(s, s). Each table is a correlation of chi with a weight:
-    writing x^3 + s(x + 1) = (x + 1)(v + s) with v = x^3/(x + 1) for x != -1,
+    a(A, B) = chi(AB) a(s, s). ss is a correlation of chi with a weight: writing
+    x^3 + s(x + 1) = (x + 1)(v + s) with v = x^3/(x + 1) for x != -1,
 
-        -a(s, s) = chi(-1) + sum_v W(v) chi(v + s),  W(v) = sum_{x^3/(x+1) = v} chi(x + 1),
-        -a(0, B) = sum_u N3(u) chi(u + B),           N3(u) = #{x : x^3 = u},
-        -a(A, 0) = sum_w M(w) chi(w + A),            M(w) = sum_{x^2 = w} chi(x).
+        -a(s, s) = chi(-1) + sum_v W(v) chi(v + s),  W(v) = sum_{x^3/(x+1) = v} chi(x + 1).
 
-    The rows run one at a time against chi's shared spectrum. ValueError unless p is
-    an odd prime up to _MAX_MODULUS, raised before any table is allocated.
+    The CM lines take a few values each: (A, B) -> (u^4 A, u^6 B) keeps the trace, so
+    with the discrete log l(g^k) = k to a generator g of the units, a_zero[A] =
+    a(g^(l(A) mod 4), 0) (j = 1728) and zero_b[B] = a(0, g^(l(B) mod 6)) (j = 0), ten
+    character sums. inv[x] = g^(-l(x)). ValueError unless p is an odd prime up to
+    _MAX_MODULUS, raised before any table is allocated.
     """
     if p > _MAX_MODULUS:
         raise ValueError("p=%d exceeds %d, the largest modulus whose residue products fit in int64"
@@ -141,22 +121,35 @@ def trace_tables(p: int) -> TraceTables:
         raise ValueError("p must be an odd prime")
     chi = build_legendre_table(p)
     dtype = _table_dtype(p)
-    inv = _inverse_table(p)
-    chi_spec = _chi_spectrum(chi)
-
-    def table(weight, shift=0):
-        return (-shift - _correlate_with_chi(weight, chi_spec)).astype(dtype)
-
-    sq = np.arange(p, dtype=np.int64) ** 2 % p
-    a_zero = table(np.bincount(sq, weights=chi, minlength=p))
-    sq *= np.arange(p)
+    g = _primitive_root(p)
+    pw = np.ones(p, dtype=np.int64)  # pw[k] = g^k for k <= p - 1, filled by doubling
+    n = 1
+    while n < p:
+        m = min(n, p - n)
+        np.multiply(pw[:m], int(pw[n - 1]) * g % p, out=pw[n : n + m])
+        pw[n : n + m] %= p
+        n += m
+    log = np.zeros(p, dtype=np.int64)
+    log[pw[:-1]] = np.arange(p - 1)
+    inv = pw[p - 1 - log]
+    inv[0] = 0
+    x = np.arange(p, dtype=np.int64)
+    sq = x * x % p
+    chi2 = np.concatenate([chi, chi])  # chi2[u] = chi[u mod p] for u < 2p
+    # a(g^k, 0) and a(0, g^k), as chi(x^3 + c x) = chi(x) chi(x^2 + c)
+    va = [-int((chi * chi2[sq + c]).sum()) for c in pw[:4].tolist()]
+    sq *= x
     sq %= p  # now x^3
-    zero_b = table(np.bincount(sq, minlength=p).astype(np.float64))  # rfft would copy an int row
+    vb = [-int(chi2[sq + c].sum()) for c in pw[:6].tolist()]
+    a_zero = np.array(va, dtype=dtype)[log % 4]
+    zero_b = np.array(vb, dtype=dtype)[log % 6]
+    a_zero[0] = zero_b[0] = 0  # a(0, 0) = -sum chi(x^3) = 0
+    del pw, log, x, chi2
     sq[:-1] *= inv[1:]
     sq %= p  # x^3/(x + 1) over x != -1
     w = np.bincount(sq[:-1], weights=chi[1:], minlength=p)
     del sq
-    ss = table(w, chi[p - 1])
+    ss = (-chi[p - 1] - _correlate_with_chi(w, chi)).astype(dtype)
     for arr in (ss, zero_b, a_zero, inv):
         arr.setflags(write=False)
     return TraceTables(p, chi, ss, zero_b, a_zero, inv)

@@ -560,21 +560,21 @@ def test_threads_build_each_prime_tables_once(monkeypatch, force_pool, pool_spy)
     import ecmoments.traces as traces
 
     fetches, builds = Counter(), Counter()
-    real_tables, real_spectrum = traces.trace_tables, traces._chi_spectrum
+    real_tables, real_correlation = traces.trace_tables, traces._correlate_with_chi
 
     def fetched(p):
         fetches[p] += 1
         return real_tables(p)
 
-    def built(chi):
+    def built(weight, chi):
         builds[len(chi)] += 1
-        return real_spectrum(chi)
+        return real_correlation(weight, chi)
 
     fams = builtin_corpus()[:6]
     primes = sieve_primes(12)[2:]
     expected = compute_records(fams, primes, r_max=2)
     monkeypatch.setattr(traces, "trace_tables", fetched)
-    monkeypatch.setattr(traces, "_chi_spectrum", built)
+    monkeypatch.setattr(traces, "_correlate_with_chi", built)
     monkeypatch.setattr(traces, "_BLOCK_FIBERS", 1)  # a block per family at every prime
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as they can

@@ -28,10 +28,8 @@ from ecmoments.families import Fiber
 from ecmoments.traces import (
     _MAX_MODULUS,
     TraceTables,
-    _chi_spectrum,
     _correlate_with_chi,
     _fast_length,
-    _inverse_table,
     _table_dtype,
     prime_moment_sums,
     short_traces,
@@ -205,10 +203,15 @@ def test_trace_tables_memory_is_linear_with_a_small_constant():
     assert held <= 16 * p and peak <= 100 * p, (held / p, peak / p)
 
 
-def test_inverse_table():
+@pytest.fixture(scope="module")
+def tables_1000003():
+    return trace_tables(1000003)
+
+
+def test_inverse_table(tables_1000003):
     # every odd prime below 3000 (the 430th prime is 2999), then three large ones
     for p in sieve_primes(430)[1:] + [10007, 99991, 1000003]:
-        inv = _inverse_table(p)
+        inv = tables_1000003.inv if p == 1000003 else trace_tables(p).inv
         assert inv[0] == 0
         assert np.all(np.arange(1, p) * inv[1:] % p == 1)
 
@@ -217,10 +220,91 @@ def test_correlation_rejects_inexact_float():
     # a constant weight correlates to exactly 0, but at 2^52 the transform's
     # rounding error reaches the units place
     p = 101
-    chi_spec = _chi_spectrum(cached_legendre_table(p))
-    assert not _correlate_with_chi(np.full(p, 1.0), chi_spec).any()
+    chi = cached_legendre_table(p)
+    assert not _correlate_with_chi(np.full(p, 1.0), chi).any()
     with pytest.raises(ArithmeticError):
-        _correlate_with_chi(np.full(p, float(1 << 52)), chi_spec)
+        _correlate_with_chi(np.full(p, float(1 << 52)), chi)
+
+
+def test_trace_tables_run_one_fft_correlation(monkeypatch):
+    calls, real = [], np.fft.irfft
+
+    def irfft(spec, n):
+        calls.append(n)
+        return real(spec, n)
+
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    primes = [3, 5, 101, 10007]
+    for p in primes:
+        trace_tables(p)
+    assert calls == [_fast_length(2 * p - 1) for p in primes]
+
+
+def test_cm_lines_equal_their_character_sums():
+    # a(A, 0) and a(0, B) at every A and B, every odd p <= 500 (the 95th prime is 499)
+    for p in sieve_primes(95)[1:]:
+        tt = trace_tables(p)
+        every, zero = np.arange(p), np.zeros(p, dtype=np.int64)
+        assert np.array_equal(tt.a_zero, direct_short_traces(every, zero, p)), p
+        assert np.array_equal(tt.zero_b, direct_short_traces(zero, every, p)), p
+
+
+@pytest.mark.parametrize("p", [99961, 99989, 100003, 99971, 1000003])  # 1, 5, 7, 11, 7 mod 12
+def test_cm_lines_sampled_in_every_class_mod_12(p, tables_1000003):
+    tt = tables_1000003 if p == 1000003 else trace_tables(p)
+    sample = np.random.default_rng(p).integers(0, p, size=20)
+    zero = np.zeros_like(sample)
+    assert np.array_equal(tt.a_zero[sample], direct_short_traces(sample, zero, p))
+    assert np.array_equal(tt.zero_b[sample], direct_short_traces(zero, sample, p))
+    # y^2 = x^3 + A x is supersingular when p = 3 mod 4, y^2 = x^3 + B when p = 2 mod 3
+    assert tt.a_zero.any() == (p % 4 == 1)
+    assert tt.zero_b.any() == (p % 3 == 1)
+
+
+# Birch (J. London Math. Soc. 1968): sum over all (A, B) mod p of a(A, B)^(2R) for
+# R = 1..4 and p >= 5. No cusp form of weight 2R + 2 < 12 exists, so each is a polynomial.
+_BIRCH = (
+    lambda p: p**3 - p**2,
+    lambda p: 2 * p**4 - 2 * p**3 - 3 * p**2 + 3 * p,
+    lambda p: 5 * p**5 - 5 * p**4 - 9 * p**3 + 4 * p**2 + 5 * p,
+    lambda p: 14 * p**6 - 14 * p**5 - 28 * p**4 + 8 * p**3 + 13 * p**2 + 7 * p,
+)
+
+
+def _even_power_sums(values, p):
+    """[sum of v^(2R) for R = 1..4] over the Hasse-range values, in Python ints."""
+    m = math.isqrt(4 * p)
+    counts = np.bincount(values.astype(np.int64) + m, minlength=2 * m + 1).tolist()
+    return [sum(c * v ** (2 * r) for c, v in zip(counts, range(-m, m + 1))) for r in range(1, 5)]
+
+
+def _birch_sums(tt):
+    """Birch's four sums read off the tables: each s != 0 stands for p - 1 pairs with AB != 0."""
+    p = tt.p
+    ss, zero_b, a_zero = (_even_power_sums(t, p) for t in (tt.ss[1:], tt.zero_b, tt.a_zero[1:]))
+    return [(p - 1) * s + b + a for s, b, a in zip(ss, zero_b, a_zero)]
+
+
+def test_birch_identities_by_brute_force():
+    for p in [q for q in sieve_primes(18) if q >= 5]:  # the 18th prime is 61
+        chi = cached_legendre_table(p)
+        a, b, x = np.ogrid[:p, :p, :p]
+        traces_ab = -chi[(x**3 + a * x + b) % p].sum(axis=2, dtype=np.int64)
+        assert [int((traces_ab ** (2 * r)).sum()) for r in range(1, 5)] == [f(p) for f in _BIRCH], p
+
+
+@pytest.mark.parametrize("p", [10007, 100003, 1000003])
+def test_birch_identities_on_the_tables(p, tables_1000003):
+    tt = tables_1000003 if p == 1000003 else trace_tables(p)
+    assert _birch_sums(tt) == [f(p) for f in _BIRCH]
+
+
+def test_birch_identities_catch_a_changed_ss_entry():
+    tt = trace_tables(10007)
+    ss = tt.ss.copy()
+    ss[1] += -1 if ss[1] > 0 else 1  # |ss[1]| moves by one
+    got, want = _birch_sums(tt._replace(ss=ss)), [f(tt.p) for f in _BIRCH]
+    assert all(g != w for g, w in zip(got, want))
 
 
 def test_table_caches_return_the_same_object():
