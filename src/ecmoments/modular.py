@@ -10,8 +10,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-# the largest prime the trace engine takes: its Horner pass, inverse table and
-# short_traces multiply two residues in int64
+# the largest prime the trace engine takes: its Horner pass and the inverses in
+# trace_tables multiply two residues in int64
 _MAX_MODULUS = 3037000499  # isqrt(2^63 - 1)
 
 # _mask[n] == 1 exactly when n is prime, for n < len(_mask); grown on demand

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import CurveFamily, Fiber, MomentRecord, compute_invariants
-from .modular import _MAX_MODULUS, build_legendre_table, prime_index_of
+from .modular import _MAX_MODULUS, prime_index_of
 
 
 def point_count_oracle(fiber: Fiber) -> int:
@@ -29,20 +29,20 @@ _BLOCK_FIBERS = 1 << 16
 
 
 class TraceTables(NamedTuple):
-    """Every trace mod p, read off three tables (see trace_tables).
+    """Every trace mod p, read off the discrete log (see trace_tables and short_traces).
 
-    ss[s] = a(s, s), by FFT, and the CM lines zero_b[B] = a(0, B) and a_zero[A] = a(A, 0),
-    by discrete log, where a(A, B) = -sum over x mod p of chi(x^3 + A x + B); chi[x] = (x|p)
-    and inv[x] = 1/x mod p with inv[0] = 0. chi is int8, inv int64, the rest _table_dtype(p).
+    log[x] = l(x), where x = g^l(x) for a generator g of the units mod p, and log[0] = 0;
+    ss[k] = a(g^k, g^k) for k < p - 1; va[k] = a(g^k, 0) for k < 4 and vb[k] = a(0, g^k)
+    for k < 6, where a(A, B) = -sum over x mod p of chi(x^3 + A x + B). log is int64, the
+    rest _table_dtype(p), all read-only.
     A tuple holding arrays: compare it with `is`, never with == or by hash.
     """
 
     p: int
-    chi: np.ndarray
+    log: np.ndarray
     ss: np.ndarray
-    zero_b: np.ndarray
-    a_zero: np.ndarray
-    inv: np.ndarray
+    va: np.ndarray
+    vb: np.ndarray
 
 
 def _primitive_root(p: int) -> int:
@@ -98,28 +98,53 @@ def _correlate_with_chi(weight: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _birch_sums(p: int) -> list[int]:
+    """Birch (J. London Math. Soc. 1968): the sum of a(A, B)^(2R) over all (A, B) mod p, R = 1..4.
+
+    For p >= 5. No cusp form of weight 2R + 2 < 12 exists, so each sum is a polynomial in p.
+    """
+    return [p**3 - p**2,
+            2 * p**4 - 2 * p**3 - 3 * p**2 + 3 * p,
+            5 * p**5 - 5 * p**4 - 9 * p**3 + 4 * p**2 + 5 * p,
+            14 * p**6 - 14 * p**5 - 28 * p**4 + 8 * p**3 + 13 * p**2 + 7 * p]
+
+
+def _check_birch(p: int, ss: np.ndarray, va: np.ndarray, vb: np.ndarray) -> None:
+    """ArithmeticError unless the tables, read as short_traces reads them, meet _birch_sums(p).
+
+    Each k < p - 1 stands for the p - 1 pairs with AB != 0 and A^3/B^2 = g^k, and va[j]
+    (vb[j]) for the A (B) != 0 with l mod 4 (6) equal to j; a(0, 0) = 0. Even powers
+    need only |ss|: one bincount, then exact Python ints.
+    """
+    counts = np.bincount(np.abs(ss)).tolist()  # counts[v] = #{k : |ss[k]| = v}
+    lines = [(len(range(j, p - 1, len(cm))), v)  # (how many A or B, the trace they share)
+             for cm in (va, vb) for j, v in enumerate(cm.tolist())]
+    for e, want in zip((2, 4, 6, 8), _birch_sums(p)):
+        on_ss = sum(c * v**e for v, c in enumerate(counts))
+        if (p - 1) * on_ss + sum(c * v**e for c, v in lines) != want:
+            raise ArithmeticError("trace tables at p=%d miss Birch's sum of a^%d" % (p, e))
+
+
 def trace_tables(p: int) -> TraceTables:
-    """The tables behind every trace mod p: O(p log p) time, 15p bytes held (21p above 16384^2).
+    """The tables behind every trace mod p: O(p log p) time, 10p bytes held (12p above 16384^2).
 
     A twist (A, B) -> (d^2 A, d^3 B) multiplies a(A, B) by chi(d); with
     d = B/A it carries (s, s), s = A^3/B^2, to (A, B), so for AB != 0
-    a(A, B) = chi(AB) a(s, s). ss is a correlation of chi with a weight: writing
+    a(A, B) = chi(AB) a(s, s). a(s, s) is a correlation of chi with a weight: writing
     x^3 + s(x + 1) = (x + 1)(v + s) with v = x^3/(x + 1) for x != -1,
 
         -a(s, s) = chi(-1) + sum_v W(v) chi(v + s),  W(v) = sum_{x^3/(x+1) = v} chi(x + 1).
 
     The CM lines take a few values each: (A, B) -> (u^4 A, u^6 B) keeps the trace, so
-    with the discrete log l(g^k) = k to a generator g of the units, a_zero[A] =
-    a(g^(l(A) mod 4), 0) (j = 1728) and zero_b[B] = a(0, g^(l(B) mod 6)) (j = 0), ten
-    character sums. inv[x] = g^(-l(x)). ValueError unless p is an odd prime up to
-    _MAX_MODULUS, raised before any table is allocated.
+    a(A, 0) = va[l(A) mod 4] (j = 1728) and a(0, B) = vb[l(B) mod 6] (j = 0); chi(g^k) = (-1)^k.
+    ArithmeticError if the FFT is inexact or (p >= 5) the tables miss _birch_sums; ValueError
+    unless p is an odd prime up to _MAX_MODULUS, raised before any table is allocated.
     """
     if p > _MAX_MODULUS:
         raise ValueError("p=%d exceeds %d, the largest modulus whose residue products fit in int64"
                          % (p, _MAX_MODULUS))
     if prime_index_of(p) == 1:  # raises on composite p; index 1 is p = 2
         raise ValueError("p must be an odd prime")
-    chi = build_legendre_table(p)
     dtype = _table_dtype(p)
     g = _primitive_root(p)
     pw = np.ones(p, dtype=np.int64)  # pw[k] = g^k for k <= p - 1, filled by doubling
@@ -131,45 +156,44 @@ def trace_tables(p: int) -> TraceTables:
         n += m
     log = np.zeros(p, dtype=np.int64)
     log[pw[:-1]] = np.arange(p - 1)
-    inv = pw[p - 1 - log]
-    inv[0] = 0
+    chi = (1 - 2 * (log & 1)).astype(np.int8)
+    chi[0] = 0
     x = np.arange(p, dtype=np.int64)
     sq = x * x % p
     chi2 = np.concatenate([chi, chi])  # chi2[u] = chi[u mod p] for u < 2p
     # a(g^k, 0) and a(0, g^k), as chi(x^3 + c x) = chi(x) chi(x^2 + c)
-    va = [-int((chi * chi2[sq + c]).sum()) for c in pw[:4].tolist()]
+    va = np.array([-int((chi * chi2[sq + pow(g, k, p)]).sum()) for k in range(4)], dtype=dtype)
     sq *= x
     sq %= p  # now x^3
-    vb = [-int(chi2[sq + c].sum()) for c in pw[:6].tolist()]
-    a_zero = np.array(va, dtype=dtype)[log % 4]
-    zero_b = np.array(vb, dtype=dtype)[log % 6]
-    a_zero[0] = zero_b[0] = 0  # a(0, 0) = -sum chi(x^3) = 0
-    del pw, log, x, chi2
-    sq[:-1] *= inv[1:]
+    vb = np.array([-int(chi2[sq + pow(g, k, p)].sum()) for k in range(6)], dtype=dtype)
+    del x, chi2
+    sq[:-1] *= pw[p - 1 - log[1:]]  # 1/(x + 1) = g^(p - 1 - l(x + 1))
+    del pw
     sq %= p  # x^3/(x + 1) over x != -1
     w = np.bincount(sq[:-1], weights=chi[1:], minlength=p)
     del sq
-    ss = (-chi[p - 1] - _correlate_with_chi(w, chi)).astype(dtype)
-    for arr in (ss, zero_b, a_zero, inv):
+    ss = np.empty(p - 1, dtype=dtype)
+    ss[log[1:]] = (-chi[p - 1] - _correlate_with_chi(w, chi))[1:]  # ss[l(s)] = a(s, s)
+    if p >= 5:
+        _check_birch(p, ss, va, vb)
+    for arr in (log, ss, va, vb):
         arr.setflags(write=False)
-    return TraceTables(p, chi, ss, zero_b, a_zero, inv)
+    return TraceTables(p, log, ss, va, vb)
 
 
 def short_traces(a: np.ndarray, b: np.ndarray, tt: TraceTables) -> np.ndarray:
-    """a(A, B) = -sum_x chi(x^3 + A x + B) for int64 A, B in [0, tt.p), in the tables' dtype."""
-    p = tt.p
-    ib = tt.inv[b]
-    s = a * a % p
-    for factor in (a, ib, ib):  # s = A^3/B^2, reduced after each product in place
-        s *= factor
-        s %= p
-    ab = a * b
-    ab %= p
-    out = tt.chi[ab] * tt.ss[s]
+    """a(A, B) = -sum_x chi(x^3 + A x + B) for int64 A, B in [0, tt.p), in the tables' dtype.
+
+    In logs, A^3/B^2 = g^k with k = 3 l(A) - 2 l(B) mod (p - 1) and chi(AB) = (-1)^(l(A) + l(B)).
+    """
+    la, lb = tt.log[a], tt.log[b]
+    out = tt.ss[(3 * la - 2 * lb) % (tt.p - 1)]
+    out *= 1 - 2 * ((la ^ lb) & 1).astype(out.dtype)
     on_a0 = a == 0
-    out[on_a0] = tt.zero_b[b[on_a0]]
+    out[on_a0] = tt.vb[lb[on_a0] % 6]
     on_b0 = b == 0
-    out[on_b0] = tt.a_zero[a[on_b0]]
+    out[on_b0] = tt.va[la[on_b0] % 4]
+    out[on_a0 & on_b0] = 0  # a(0, 0) = -sum chi(x^3) = 0
     return out
 
 

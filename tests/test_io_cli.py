@@ -1182,10 +1182,10 @@ def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
     assert out.count(", 10 primes exact") == 14
 
 
-def test_verify_builds_each_legendre_table_at_most_twice(monkeypatch, tmp_path, capsys):
+def test_verify_builds_each_legendre_table_at_most_once(monkeypatch, tmp_path, capsys):
     from collections import Counter
 
-    from ecmoments import modular, traces
+    from ecmoments import modular
 
     builds = Counter()
     real = modular.build_legendre_table
@@ -1194,14 +1194,13 @@ def test_verify_builds_each_legendre_table_at_most_twice(monkeypatch, tmp_path, 
         builds[p] += 1
         return real(p)
 
-    for module in (modular, traces):  # traces imports it by name
-        monkeypatch.setattr(module, "build_legendre_table", counted)
+    monkeypatch.setattr(modular, "build_legendre_table", counted)
     modular.cached_legendre_table.cache_clear()
     assert main(["verify", "--start", "3", "--end", "80", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    # once for the prime's trace tables, once for the Template3 character sum
+    # for the Template3 character sum; the trace tables take chi from the discrete log
     assert sorted(builds) == sieve_primes(80)[2:]
-    assert max(builds.values()) <= 2
+    assert max(builds.values()) == 1
 
 
 def test_moments_accepts_family_with_many_zero_samples(tmp_path, capsys):
