@@ -7,10 +7,25 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-from .families import MomentRecord
+from .families import R_MAX, MomentRecord
 
-# r -> (M_r, e_r): main term of S_r is M_r * p^{e_r}
-EVEN_MAIN_TERMS = {2: (1, 2), 4: (2, 3), 6: (5, 4), 8: (14, 5)}
+
+def catalan(n: int) -> int:
+    """Catalan number C_n = binom(2n, n) / (n + 1)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative, got %r" % (n,))
+    return math.comb(2 * n, n) // (n + 1)
+
+
+# r -> (M_r, e_r): main term of S_r is M_r * p^{e_r}; for r = 2R, M_r is the leading
+# coefficient of Birch's moment polynomial, the Catalan number C_R, and e_r = R + 1
+EVEN_MAIN_TERMS = {2 * R: (catalan(R), R + 1) for R in range(1, R_MAX // 2 + 1)}
+
+
+def residual_exponents(r: int) -> tuple[Fraction, Fraction]:
+    """The exponents residual_series may divide S_r's residual by: e_r - 1 and e_r - 1/2."""
+    e_r = EVEN_MAIN_TERMS[r][1]
+    return Fraction(e_r - 1), Fraction(2 * e_r - 1, 2)
 
 
 class ResidualSeries(NamedTuple):
@@ -45,9 +60,10 @@ def residual_series(
     if r not in EVEN_MAIN_TERMS:
         raise ValueError("r must be one of %s, got %r" % (sorted(EVEN_MAIN_TERMS), r))
     m_r, e_r = EVEN_MAIN_TERMS[r]
-    exponent = Fraction(2 * e_r - 1, 2) if exponent is None else Fraction(exponent)
-    if exponent not in (Fraction(e_r - 1), Fraction(2 * e_r - 1, 2)):
-        raise ValueError("exponent must be %d or %d/2, got %s" % (e_r - 1, 2 * e_r - 1, exponent))
+    allowed = residual_exponents(r)
+    exponent = allowed[1] if exponent is None else Fraction(exponent)
+    if exponent not in allowed:
+        raise ValueError("exponent must be %s or %s, got %s" % (*allowed, exponent))
     recs = _by_p(records, r)
     k = math.floor(exponent)  # exponent = k or k + 1/2
     half = exponent != k
@@ -62,8 +78,9 @@ def residual_series(
 
 def odd_coefficient_series(records: list[MomentRecord], r: int) -> ResidualSeries:
     """S_r / p^{(r+1)/2} for odd r; the conjectured main term is -C_{(r+1)/2} rank."""
-    if r % 2 == 0 or not 1 <= r <= 7:
-        raise ValueError("r must be odd in 1..7, got %r" % (r,))
+    odd = range(1, R_MAX + 1, 2)
+    if r not in odd:
+        raise ValueError("r must be odd in 1..%d, got %r" % (odd[-1], r))
     q = (r + 1) // 2
     recs = _by_p(records, r)
     pts = tuple((rec.p, rec.sums[r - 1] / rec.p ** q) for rec in recs)
@@ -175,13 +192,6 @@ def nagao_rank_estimate(records: list[MomentRecord], x: int) -> float:
     return acc / x
 
 
-def catalan(n: int) -> int:
-    """Catalan number C_n = binom(2n, n) / (n + 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative, got %r" % (n,))
-    return math.comb(2 * n, n) // (n + 1)
-
-
 class CatalanCheck(NamedTuple):
     k: int
     observed_mean: float
@@ -191,8 +201,8 @@ class CatalanCheck(NamedTuple):
 
 def catalan_check(observed_mean: float, k: int, rank: int) -> CatalanCheck:
     """observed_mean, the mean of S_{2k+1}/p^{k+1}, against the conjectured -C_{k+1} * rank."""
-    if not 1 <= k <= 3:
-        raise ValueError("k must be in 1..3, got %r" % (k,))
+    if not 1 <= k <= (R_MAX - 1) // 2:
+        raise ValueError("k must be in 1..%d, got %r" % ((R_MAX - 1) // 2, k))
     predicted = -catalan(k + 1) * rank
     ratio = observed_mean / predicted if predicted != 0 else None
     return CatalanCheck(k, observed_mean, float(predicted), ratio)

@@ -8,9 +8,10 @@ import random
 import sys
 from fractions import Fraction
 
+from .bias import residual_exponents
 from .closed_forms import verify_family
-from .discovery import SOME_FALSIFIED, fit_classes, fit_plan, summarize
-from .families import MomentRecord, discriminant, fiber_at, match_template
+from .discovery import ROBUST_FLOOR, SOME_FALSIFIED, fit_classes, fit_plan, summarize
+from .families import R_MAX, MomentRecord, discriminant, fiber_at, match_template
 from .io import (
     FamilyParseError,
     RunConfig,
@@ -25,18 +26,20 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 
+_DEFAULTS = RunConfig._field_defaults  # the default of each flag that sets a RunConfig field
+
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--families", metavar="PATH", default=None,
                      help="family file (JSON); the built-in corpus when omitted")
-    sub.add_argument("--start", type=int, default=3, metavar="IDX",
-                     help="first 1-based prime index (default 3, p=5)")
-    sub.add_argument("--end", type=int, default=302, metavar="IDX",
-                     help="last prime index, inclusive (default 302)")
-    sub.add_argument("--out", default="out", metavar="DIR", help="output directory")
-    sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="most worker threads across primes (default 1); a window too "
-                          "small to repay them runs in-process")
+    sub.add_argument("--start", type=int, default=_DEFAULTS["start"], metavar="IDX",
+                     help="first 1-based prime index (default %(default)s, p=5)")
+    sub.add_argument("--end", type=int, default=_DEFAULTS["end"], metavar="IDX",
+                     help="last prime index, inclusive (default %(default)s)")
+    sub.add_argument("--out", default=_DEFAULTS["out_dir"], metavar="DIR", help="output directory")
+    sub.add_argument("--threads", type=int, default=_DEFAULTS["workers"], metavar="N",
+                     help="most worker threads across primes (default %(default)s); a window "
+                          "too small to repay them runs in-process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("moments", help="compute S_1..S_rmax per prime and write CSV")
     _common_flags(m)
-    m.add_argument("--rmax", type=int, default=7, help="highest moment, 1..8 (default 7)")
+    m.add_argument("--rmax", type=int, default=_DEFAULTS["r_max"],
+                   help="highest moment, 1..%d (default %%(default)s)" % R_MAX)
     m.add_argument("--resume", action="store_true",
                    help="keep rows already present in the output CSV")
 
@@ -56,18 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(r)
     r.add_argument("--csv", default=None, metavar="PATH",
                    help="input CSV (default <out>/moments.csv)")
-    r.add_argument("--block", type=int, default=50, help="extra block size (default 50)")
-    r.add_argument("--exponent", choices=["1", "3/2"], default="3/2",
-                   help="second-moment normalization exponent (default 3/2)")
+    r.add_argument("--block", type=int, default=_DEFAULTS["block_size"],
+                   help="extra block size (default %(default)s)")
+    r.add_argument("--exponent", choices=[str(q) for q in residual_exponents(2)],
+                   default=str(_DEFAULTS["exponent2"]),
+                   help="second-moment normalization exponent (default %(default)s)")
 
     d = sub.add_parser("discover", help="fit per-congruence-class second moment formulas")
     _common_flags(d)
-    d.add_argument("--modulus", default="4,3,1", metavar="E,F,G",
-                   help="exponents of 2,3,5 in the modulus (default 4,3,1)")
+    d.add_argument("--modulus", default=",".join(map(str, _DEFAULTS["modulus_exponents"])),
+                   metavar="E,F,G", help="exponents of 2,3,5 in the modulus (default %(default)s)")
     d.add_argument("--robust", action="store_true",
                    help="fit after dropping the first primes of the run")
-    d.add_argument("--floor", type=int, default=10,
-                   help="primes dropped in robust mode (default 10)")
+    d.add_argument("--floor", type=int, default=ROBUST_FLOOR,
+                   help="primes dropped in robust mode (default %(default)s)")
 
     v = sub.add_parser("verify", help="check closed-form S1/S2 against the engine")
     _common_flags(v)

@@ -15,6 +15,14 @@ ALL_VERIFIED = "AllClassesVerified"
 SOME_FALSIFIED = "SomeFalsified"
 INCONCLUSIVE = "Inconclusive"
 
+# the largest exponents e, f, g of the modulus 2^e 3^f 5^g; the default modulus takes all three
+MAX_EXPONENTS = (4, 3, 1)
+ROBUST_FLOOR = 10  # primes robust mode drops when no floor is given
+
+
+def exponents_in_range(e: int, f: int, g: int) -> bool:
+    return all(0 <= x <= top for x, top in zip((e, f, g), MAX_EXPONENTS))
+
 
 class FormulaFit(NamedTuple):
     residue: int
@@ -36,7 +44,8 @@ class FitPlan(NamedTuple):
 
 
 def fit_plan(
-    primes: list[int], e: int = 4, f: int = 3, g: int = 1, robust: bool = False, floor: int = 10
+    primes: list[int], e: int = MAX_EXPONENTS[0], f: int = MAX_EXPONENTS[1],
+    g: int = MAX_EXPONENTS[2], robust: bool = False, floor: int = ROBUST_FLOOR
 ) -> FitPlan:
     """The congruence classes mod 2^e 3^f 5^g of `primes` and the primes each class's fit reads.
 
@@ -45,7 +54,7 @@ def fit_plan(
     drops the first `floor` primes of the whole run and keeps every survivor.
     The fit solves its law from the first two primes read and checks the rest.
     """
-    if not (0 <= e <= 4 and 0 <= f <= 3 and 0 <= g <= 1):
+    if not exponents_in_range(e, f, g):
         raise ValueError("modulus exponents out of range: e=%r f=%r g=%r" % (e, f, g))
     if floor < 0:  # checked before slicing: primes[-1:] would keep the last prime
         raise ValueError("floor must be nonnegative, got %r" % (floor,))
@@ -91,12 +100,8 @@ def _fit_class(recs: list[MomentRecord], residue: int, modulus: int) -> FormulaF
 
 
 def discover(
-    records: list[MomentRecord],
-    e: int = 4,
-    f: int = 3,
-    g: int = 1,
-    robust: bool = False,
-    floor: int = 10,
+    records: list[MomentRecord], e: int = MAX_EXPONENTS[0], f: int = MAX_EXPONENTS[1],
+    g: int = MAX_EXPONENTS[2], robust: bool = False, floor: int = ROBUST_FLOOR
 ) -> list[FormulaFit]:
     """Fit S_2(p) - p^2 = a p + b inside each congruence class mod 2^e 3^f 5^g.
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+from .modular import _check_odd_prime_modulus
+
 
 class _Coeffs(NamedTuple):
     coeffs: tuple[int, ...]
@@ -151,8 +153,7 @@ class Fiber(NamedTuple):
 
 def fiber_at(fam: CurveFamily, t: int, p: int) -> Fiber:
     """Reduce the fiber at t to short form: A = -27 c4(t), B = -54 c6(t) mod p."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime, got %r" % (p,))
+    _check_odd_prime_modulus(p)
     inv = compute_invariants(fam)
     a = (-27 * inv.c4.eval_mod(t, p)) % p
     b = (-54 * inv.c6.eval_mod(t, p)) % p
@@ -219,6 +220,10 @@ def is_nondegenerate(fam: CurveFamily) -> bool:
     """
     inv = compute_invariants(fam)
     return not (inv.c4 ** 3 - inv.c6 ** 2).is_zero()
+
+
+R_MAX = 8  # the highest moment S_r any command computes or reports
+DEFAULT_R_MAX = 7  # the highest moment computed when none is asked for
 
 
 class MomentRecord(NamedTuple):

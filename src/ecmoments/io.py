@@ -14,8 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+from .bias import residual_exponents
 from .corpus import builtin_corpus
-from .families import CurveFamily, IntPolynomial, MomentRecord, is_nondegenerate
+from .discovery import MAX_EXPONENTS, exponents_in_range
+from .families import (DEFAULT_R_MAX, R_MAX, CurveFamily, IntPolynomial, MomentRecord,
+                       is_nondegenerate)
 from .modular import _MAX_MODULUS, nth_prime_bound, prime_indices, sieve_primes
 
 
@@ -116,10 +119,10 @@ class RunConfig(NamedTuple):
     families_path: str | None = None  # None selects the built-in corpus
     start: int = 3  # 1-based prime index; index 1 is p=2, default skips 2 and 3
     end: int = 302
-    r_max: int = 7
+    r_max: int = DEFAULT_R_MAX
     block_size: int = 50
-    modulus_exponents: tuple[int, int, int] = (4, 3, 1)
-    exponent2: Fraction = Fraction(3, 2)
+    modulus_exponents: tuple[int, int, int] = MAX_EXPONENTS
+    exponent2: Fraction = residual_exponents(2)[1]  # e_2 - 1/2, as in residual_series
     out_dir: str = "out"
     workers: int = 1
     resume: bool = False
@@ -133,15 +136,14 @@ class RunConfig(NamedTuple):
         if n * (math.log(n) + math.log(math.log(n)) - 1) > _MAX_MODULUS:
             raise ValidationError("end index %d reaches primes above %d, the largest modulus "
                                   "the trace engine takes" % (n, _MAX_MODULUS))
-        if not 1 <= self.r_max <= 8:
-            raise ValidationError("r_max must be in 1..8, got %r" % (self.r_max,))
+        if not 1 <= self.r_max <= R_MAX:
+            raise ValidationError("r_max must be in 1..%d, got %r" % (R_MAX, self.r_max))
         if self.block_size < 1:
             raise ValidationError("block size must be >= 1, got %r" % (self.block_size,))
-        e, f, g = self.modulus_exponents
-        if not (0 <= e <= 4 and 0 <= f <= 3 and 0 <= g <= 1):
+        if not exponents_in_range(*self.modulus_exponents):
             raise ValidationError("modulus exponents out of range: %r" % (self.modulus_exponents,))
-        if Fraction(self.exponent2) not in (Fraction(1), Fraction(3, 2)):
-            raise ValidationError("second-moment exponent must be 1 or 3/2")
+        if Fraction(self.exponent2) not in residual_exponents(2):
+            raise ValidationError("second-moment exponent must be %s or %s" % residual_exponents(2))
         if self.workers < 1:
             raise ValidationError("workers must be >= 1, got %r" % (self.workers,))
 

@@ -17,7 +17,7 @@ from .bias import (
     odd_coefficient_series,
     residual_series,
 )
-from .families import MomentRecord
+from .families import R_MAX, MomentRecord
 from .io import (
     RunConfig,
     ValidationError,
@@ -54,8 +54,8 @@ def _block_sizes(config: RunConfig) -> list[int]:
 def run_report(csv_path, config: RunConfig) -> str:
     """Build the bias report for every family in the CSV; returns its text.
 
-    The report covers grand-mean residuals for r = 2 (at the configured
-    exponent), r = 4, 6 and 8 (at the half-integer envelope), block sign counts
+    The report covers grand-mean residuals for r = 2 (at the configured exponent)
+    and each higher even r <= R_MAX (at the half-integer envelope), block sign counts
     with exact binomial p-values, odd-moment means with their Catalan targets,
     and the first-moment rank estimate. Families whose names map to one SVG
     name, letter case aside, are rejected before anything is rendered. The
@@ -65,6 +65,7 @@ def run_report(csv_path, config: RunConfig) -> str:
     """
     config.validate()
     r_max, records = read_moments_csv(csv_path)
+    r_max = min(r_max, R_MAX)  # a CSV written elsewhere may hold moments past those reported
     if not records:
         raise ValueError("%s: no data rows" % (csv_path,))
     known = {fam.name: fam for fam in load_families(config)}
@@ -103,15 +104,11 @@ def run_report(csv_path, config: RunConfig) -> str:
             "primes: index %d..%d, p = %d..%d, n = %d"
             % (idxs[0], idxs[-1], p_first, p_last, len(recs))
         )
-        for r in sorted(EVEN_MAIN_TERMS):
-            if r > r_max:
-                continue
+        for r in range(2, r_max + 1, 2):
             m_r, e_r = EVEN_MAIN_TERMS[r]
-            exponent = Fraction(config.exponent2) if r == 2 else Fraction(2 * e_r - 1, 2)
-            series = residual_series(recs, r, exponent)
-            lines.append(
-                "S%d residual (S%d - %d p^%d) / p^%s:" % (r, r, m_r, e_r, _fmt_exp(exponent))
-            )
+            series = residual_series(recs, r, config.exponent2 if r == 2 else None)
+            lines.append("S%d residual (S%d - %d p^%d) / p^%s:"
+                         % (r, r, m_r, e_r, _fmt_exp(series.exponent)))
             for size in _block_sizes(config):
                 blk = block_stats(series, size)
                 lines.append(
@@ -125,9 +122,7 @@ def run_report(csv_path, config: RunConfig) -> str:
                 texts[os.path.join(config.out_dir, svg_name)] = emit_histogram_svg(
                     histogram(blk, HISTOGRAM_BINS), title)
         odd_means = {}
-        for r in (3, 5, 7):
-            if r > r_max:
-                continue
+        for r in range(3, r_max + 1, 2):
             series = odd_coefficient_series(recs, r)
             odd_means[r] = math.fsum(v for _, v in series.points) / len(series.points)
             lines.append("S%d / p^%d: mean %.6f" % (r, (r + 1) // 2, odd_means[r]))

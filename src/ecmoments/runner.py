@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from .families import CurveFamily, MomentRecord
+from .families import DEFAULT_R_MAX, CurveFamily, MomentRecord
 from .io import (
     RunConfig,
     ValidationError,
@@ -80,7 +80,7 @@ def _compute_missing(
 
 
 def compute_records(
-    families: list[CurveFamily], primes: list[int], r_max: int = 7, workers: int = 1
+    families: list[CurveFamily], primes: list[int], r_max: int = DEFAULT_R_MAX, workers: int = 1
 ) -> list[MomentRecord]:
     """MomentRecords of every family at each prime of `primes`.
 

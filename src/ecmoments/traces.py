@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import CurveFamily, Fiber, MomentRecord, compute_invariants
+from .families import DEFAULT_R_MAX, R_MAX, CurveFamily, Fiber, MomentRecord, compute_invariants
 from .modular import _MAX_MODULUS, prime_index_of
 
 
@@ -137,8 +137,9 @@ def trace_tables(p: int) -> TraceTables:
 
     The CM lines take a few values each: (A, B) -> (u^4 A, u^6 B) keeps the trace, so
     a(A, 0) = va[l(A) mod 4] (j = 1728) and a(0, B) = vb[l(B) mod 6] (j = 0); chi(g^k) = (-1)^k.
-    ArithmeticError if the FFT is inexact or (p >= 5) the tables miss _birch_sums; ValueError
-    unless p is an odd prime up to _MAX_MODULUS, raised before any table is allocated.
+    ArithmeticError if the FFT is inexact, (p >= 5) the tables miss _birch_sums or ss does
+    not sum to -chi(-1) p; ValueError unless p is an odd prime up to _MAX_MODULUS, raised
+    before any table is allocated.
     """
     if p > _MAX_MODULUS:
         raise ValueError("p=%d exceeds %d, the largest modulus whose residue products fit in int64"
@@ -176,6 +177,10 @@ def trace_tables(p: int) -> TraceTables:
     ss[log[1:]] = (-chi[p - 1] - _correlate_with_chi(w, chi))[1:]  # ss[l(s)] = a(s, s)
     if p >= 5:
         _check_birch(p, ss, va, vb)
+    # sum_k ss[k] = -sum_x sum_{s != 0} chi(x^3 + s(x + 1)), where x = -1 gives (p - 1) chi(-1)
+    # and each other x gives -chi(x), chi(-1) in all; a global sign of ss passes Birch, not this
+    if int(ss.sum(dtype=np.int64)) != -int(chi[p - 1]) * p:
+        raise ArithmeticError("trace tables at p=%d miss sum of a(s, s) = -chi(-1) p" % (p,))
     for arr in (log, ss, va, vb):
         arr.setflags(write=False)
     return TraceTables(p, log, ss, va, vb)
@@ -236,7 +241,7 @@ def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
 
 
 def prime_moment_sums(
-    families: list[CurveFamily], p: int, r_max: int = 7, rows=None
+    families: list[CurveFamily], p: int, r_max: int = DEFAULT_R_MAX, rows=None
 ) -> list[MomentRecord]:
     """moment_sums of every family at one prime, in the order given.
 
@@ -247,10 +252,14 @@ def prime_moment_sums(
     of 2m + 1 bins and S_r = sum over v of count_v v^r, one matrix product for
     a block of families. The product is exact: int64 for every r with
     p m^r < 2^63, which bounds its partial sums, and Python ints for higher r.
-    A trace outside the range raises ArithmeticError.
+    A trace outside the range raises ArithmeticError, and so does an S1 that is
+    not 0 mod p when deg A <= 3 and deg B <= 5 (A and B as in coefficient_rows):
+    chi(u) = u^m mod p with m = (p - 1)/2, so a_t = [x^(p-1)] (x^3 + A x + B)^m mod p,
+    a polynomial in t of degree at most m max(deg A/2, deg B/3) < p - 1, and the sum
+    of t^k over t mod p vanishes for every k < p - 1.
     """
-    if not 1 <= r_max <= 8:
-        raise ValueError("r_max must be in 1..8, got %r" % (r_max,))
+    if not 1 <= r_max <= R_MAX:
+        raise ValueError("r_max must be in 1..%d, got %r" % (R_MAX, r_max))
     tt = trace_tables(p)  # checks p; first, so the FFT's peak does not add to the block arrays
     idx = prime_index_of(p)
     m = math.isqrt(4 * p)
@@ -270,13 +279,16 @@ def prime_moment_sums(
             raise ArithmeticError("a trace at p=%d lies outside the Hasse range |a| <= %d" % (p, m))
         bins = traces + (m + width * np.arange(len(block)))[:, None]
         counts = np.bincount(bins.ravel(), minlength=width * len(block)).reshape(-1, width)
-        sums = np.hstack([counts @ powers64, counts.astype(object) @ powers_big])
+        sums = np.hstack([counts @ powers64, counts.astype(object) @ powers_big]).tolist()
+        for fam, (a, b), row in zip(block, rows[lo : lo + step], sums):
+            if len(a) <= 4 and len(b) <= 6 and row[0] % p:  # deg A <= 3 and deg B <= 5
+                raise ArithmeticError("S1 of %s is %d, not 0 mod p=%d" % (fam.name, row[0], p))
         records += [MomentRecord(fam.name, idx, p, tuple(row))  # object dtype: Python ints
-                    for fam, row in zip(block, sums.tolist())]
+                    for fam, row in zip(block, sums)]
     return records
 
 
-def moment_sums(fam: CurveFamily, p: int, r_max: int = 7) -> MomentRecord:
+def moment_sums(fam: CurveFamily, p: int, r_max: int = DEFAULT_R_MAX) -> MomentRecord:
     """Exact S_r = sum_t a_t(p)^r for r = 1..r_max, over all t mod p.
 
     Singular fibers contribute their raw character sums; nothing is skipped.

@@ -24,6 +24,7 @@ from ecmoments import (
     residual_series,
     sieve_primes,
 )
+from ecmoments.bias import EVEN_MAIN_TERMS
 from ecmoments.traces import MomentRecord
 
 
@@ -254,6 +255,10 @@ def test_catalan_values_and_recurrence():
         assert catalan(n + 1) * (n + 2) == catalan(n) * 2 * (2 * n + 1)
     with pytest.raises(ValueError):
         catalan(-1)
+
+
+def test_even_main_terms_are_catalan_numbers_up_to_r_max():
+    assert EVEN_MAIN_TERMS == {2: (1, 2), 4: (2, 3), 6: (5, 4), 8: (14, 5)}
 
 
 def _odd_mean(records, r):

@@ -34,7 +34,7 @@ from ecmoments import (
     summarize,
     write_moments_csv,
 )
-from ecmoments.cli import main
+from ecmoments.cli import _parse_modulus, build_parser, main
 from ecmoments.discovery import SOME_FALSIFIED
 from ecmoments.families import T
 from ecmoments.io import (
@@ -160,6 +160,20 @@ def test_run_config_validation():
         with pytest.raises(ValidationError):
             RunConfig(**kwargs).validate()
     RunConfig(exponent2=Fraction(1)).validate()
+
+
+def test_each_command_without_flags_parses_to_the_run_config_defaults():
+    want = RunConfig()
+    for command in ("moments", "report", "discover", "verify", "oracle"):
+        args = build_parser().parse_args([command])
+        assert (args.families, args.start, args.end, args.out, args.threads) == (
+            want.families_path, want.start, want.end, want.out_dir, want.workers), command
+    moments = build_parser().parse_args(["moments"])
+    assert (moments.rmax, moments.resume) == (want.r_max, want.resume)
+    report = build_parser().parse_args(["report"])
+    assert (report.block, Fraction(report.exponent)) == (want.block_size, want.exponent2)
+    discover = build_parser().parse_args(["discover"])
+    assert _parse_modulus(discover.modulus) == want.modulus_exponents
 
 
 def test_end_indices_beyond_the_largest_modulus_are_rejected_before_sieving(

@@ -319,6 +319,25 @@ def test_trace_tables_raise_on_a_changed_ss_magnitude(p, monkeypatch):
         trace_tables(p)
 
 
+def test_ss_sums_to_minus_chi_of_minus_one_times_p():
+    for p in [q for q in sieve_primes(60) if q > 2] + [10007, 100003]:
+        assert int(trace_tables(p).ss.sum(dtype=np.int64)) == -(-1) ** (p // 2) * p, p
+
+
+@pytest.mark.parametrize("p", [5, 10007])
+def test_trace_tables_raise_on_a_global_sign_flip_of_ss(p, monkeypatch):
+    real = traces._correlate_with_chi
+
+    def negated(weight, chi):  # ss = -chi(-1) - C, so this C negates every ss entry
+        return -2.0 * chi[p - 1] - real(weight, chi)
+
+    tt = trace_tables(p)
+    assert _table_birch_sums(tt._replace(ss=-tt.ss)) == _birch_sums(p)  # unseen by Birch
+    monkeypatch.setattr(traces, "_correlate_with_chi", negated)
+    with pytest.raises(ArithmeticError, match="-chi\\(-1\\) p"):
+        trace_tables(p)
+
+
 def test_table_caches_return_the_same_object():
     # the table is an array: == and hash do not work on it, so a cache hit
     # must hand back the very object it built
@@ -478,6 +497,22 @@ def test_prime_moment_sums_rejects_traces_outside_hasse_range(monkeypatch):
     monkeypatch.setattr(traces, "trace_tables", lambda q: fake)
     with pytest.raises(ArithmeticError, match="Hasse range"):
         moment_sums(fam, p)
+
+
+@pytest.mark.parametrize("p", [17, 211, 10007])
+def test_prime_moment_sums_raise_when_one_trace_moves_by_one(p, monkeypatch):
+    fams = [corpus_family("1_0_0_-1_t"), rank6_family()]  # rank6_big: deg A = 3, deg B = 5
+    real = traces._block_traces
+    prime_moment_sums(fams, p)
+
+    def off_by_one(rows, tt):
+        out = real(rows, tt)
+        out[-1, np.argmin(np.abs(out[-1]))] += 1  # stays inside the Hasse range
+        return out
+
+    monkeypatch.setattr(traces, "_block_traces", off_by_one)
+    with pytest.raises(ArithmeticError, match="not 0 mod p=%d" % (p,)):
+        prime_moment_sums(fams, p)
 
 
 def test_moduli_beyond_int64_products_are_rejected_first(monkeypatch):
