@@ -185,7 +185,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .traces import _block_traces, coefficient_rows, point_count_oracle, trace_tables
+    from .traces import (_block_traces, _power_sums, _prime_records, _trace_histograms,
+                         coefficient_rows, point_count_oracle, trace_tables)
 
     if args.samples < 1:
         raise ValidationError("--samples must be >= 1, got %r" % (args.samples,))
@@ -212,9 +213,20 @@ def _cmd_oracle(args) -> int:
                     bad.append(t)
                 elif discriminant(fib) != 0 and a_t * a_t > 4 * p:
                     bad.append(t)
-            if bad:
+            verdict = "FAIL at t=%s" % (bad,) if bad else None
+            if not bad:  # the whole row's S_1..S_R_MAX against the record moments writes
+                try:  # a served family's record is read by class; both raise on a certificate
+                    row_sums = _power_sums(_trace_histograms(traces[None], p), p, R_MAX)[0]
+                    (record,) = _prime_records([fam], [rows[i]], tt, R_MAX)
+                except ArithmeticError as exc:
+                    verdict = "FAIL: %s" % (exc,)
+                else:
+                    off = [r for r, (x, y) in enumerate(zip(row_sums, record.sums), 1) if x != y]
+                    verdict = "FAIL in S_r at r=%s" % (off,) if off else None
+            if verdict:
                 status = EXIT_MISMATCH
-            verdict = "FAIL at t=%s" % (bad,) if bad else "OK (%d fibers)" % (len(ts),)
+            else:
+                verdict = "OK (%d fibers)" % (len(ts),)
             lines[i, p] = "family %s p=%d: %s" % (fam.name, p, verdict)
     for key in sorted(lines):
         print(lines[key])

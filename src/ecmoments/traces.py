@@ -26,6 +26,7 @@ def point_count_oracle(fiber: Fiber) -> int:
 # fibers per block of families at one prime: at small p every family shares
 # one block, and at large p a block is one family, so memory stays O(p)
 _BLOCK_FIBERS = 1 << 16
+_CHUNK = 1 << 14  # int64 entries per step of _reduce
 
 
 class TraceTables(NamedTuple):
@@ -186,43 +187,103 @@ def trace_tables(p: int) -> TraceTables:
     return TraceTables(p, log, ss, va, vb)
 
 
+def _reduce(x: np.ndarray, d: int) -> None:
+    """x %= d in place for a contiguous int64 x, as x - (x // d) d in chunks of _CHUNK.
+
+    numpy divides by a constant with a multiply and a shift, but computes % with a
+    division per element; this runs over twice as fast, with a 128 KiB buffer.
+    """
+    flat = x.reshape(-1)
+    buf = np.empty(min(flat.size, _CHUNK), dtype=np.int64)
+    for lo in range(0, flat.size, _CHUNK):
+        part = flat[lo : lo + _CHUNK]
+        q = np.floor_divide(part, d, out=buf[: len(part)])
+        q *= d
+        part -= q
+
+
 def short_traces(a: np.ndarray, b: np.ndarray, tt: TraceTables) -> np.ndarray:
     """a(A, B) = -sum_x chi(x^3 + A x + B) for int64 A, B in [0, tt.p), in the tables' dtype.
 
-    In logs, A^3/B^2 = g^k with k = 3 l(A) - 2 l(B) mod (p - 1) and chi(AB) = (-1)^(l(A) + l(B)).
+    A and B are left as they were: _read_traces works on a copy of both. ValueError if
+    either lies outside [0, p), which that gather would clip.
     """
-    la, lb = tt.log[a], tt.log[b]
-    out = tt.ss[(3 * la - 2 * lb) % (tt.p - 1)]
-    out *= 1 - 2 * ((la ^ lb) & 1).astype(out.dtype)
-    on_a0 = a == 0
-    out[on_a0] = tt.vb[lb[on_a0] % 6]
-    on_b0 = b == 0
-    out[on_b0] = tt.va[la[on_b0] % 4]
+    ab = np.array([a, b], dtype=np.int64)
+    if ab.size and (int(ab.min()) < 0 or int(ab.max()) >= tt.p):
+        raise ValueError("A and B must lie in [0, %d)" % (tt.p,))
+    return _read_traces(ab, tt)
+
+
+def _read_traces(ab: np.ndarray, tt: TraceTables) -> np.ndarray:
+    """short_traces of A = ab[0] and B = ab[1], read in ab's own memory, which it overwrites.
+
+    In logs, A^3/B^2 = g^k with k = 3 l(A) - 2 l(B) mod (p - 1) and chi(AB) = (-1)^(l(A) + l(B)).
+    ab takes l(A) and l(B), then k and the parity of l(A) + l(B), and the trace is one gather
+    from ss followed by -ss: index k + (p - 1) when chi(AB) = -1.
+    """
+    la, lb = ab
+    on_a0, on_b0 = la == 0, lb == 0  # before the gathers, as log[0] = log[1] = 0
+    # mode="clip" writes straight into out, where "raise" would buffer a copy; the indices
+    # lie in [0, p), and a gather reads each one before it writes its place
+    for half in ab:
+        np.take(tt.log, half, out=half, mode="clip")
+    on_a0_line = tt.vb[lb[on_a0] % 6]  # a(0, B)
+    on_b0_line = tt.va[la[on_b0] % 4]  # a(A, 0)
+    lb += la  # l(A) + l(B)
+    la *= 5
+    la -= lb
+    la -= lb
+    _reduce(la, tt.p - 1)  # k
+    lb &= 1
+    lb *= tt.p - 1
+    la += lb
+    out = np.concatenate([tt.ss, -tt.ss])[la]
+    out[on_a0] = on_a0_line
+    out[on_b0] = on_b0_line
     out[on_a0 & on_b0] = 0  # a(0, 0) = -sum chi(x^3) = 0
     return out
 
 
-def coefficient_rows(families: list[CurveFamily]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each family's integer coefficients of A = -27 c4 and B = -54 c6, ascending in t.
+class CoefficientRow(NamedTuple):
+    """A family's short model y^2 = x^3 + A(t) x + B(t), A = -27 c4 and B = -54 c6.
 
-    y^2 = x^3 + A(t) x + B(t) is the short model whose traces _block_traces reads.
+    a and b hold the integer coefficients of A and B, ascending in t. served is
+    ("vertical", A0, b1) when A = A0 and B = b0 + b1 t, ("quartic", alpha, beta) when
+    A = alpha t^2 and B = beta t^4, and None otherwise; at a prime that divides neither
+    of its integers, a served family's histogram comes from _class_histograms.
+    """
+
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    served: tuple[str, int, int] | None
+
+
+def coefficient_rows(families: list[CurveFamily]) -> list[CoefficientRow]:
+    """Each family's CoefficientRow: its coefficients and its shape, decided once.
+
     The rows hold no modulus, so a run builds them once and reduces them at each p.
     """
-    return [tuple(tuple(scale * c for c in getattr(inv, name).coeffs)
-                  for scale, name in ((-27, "c4"), (-54, "c6")))
-            for inv in map(compute_invariants, families)]
+    rows = []
+    for inv in map(compute_invariants, families):
+        a, b = (tuple(scale * c for c in poly.coeffs) for scale, poly in ((-27, inv.c4),
+                                                                            (-54, inv.c6)))
+        served = None
+        if len(a) == 1 and len(b) == 2:  # coeffs carry no trailing zeros, so A0 and b1 are not 0
+            served = ("vertical", a[0], b[1])
+        elif len(a) == 3 and len(b) == 5 and not any(a[:2] + b[:4]):
+            served = ("quartic", a[2], b[4])
+        rows.append(CoefficientRow(a, b, served))
+    return rows
 
 
-def _block_traces(
-    rows: list[tuple[tuple[int, ...], tuple[int, ...]]], tt: TraceTables
-) -> np.ndarray:
+def _block_traces(rows: list[CoefficientRow], tt: TraceTables) -> np.ndarray:
     """traces[f, t] = a_t(p) of the family with coefficient_rows rows[f], t = 0..p-1, p = tt.p.
 
     One Horner pass over the stacked rows of A and B mod p gives every fiber's
-    A and B; one short_traces call reads the traces off the tables tt.
+    A and B; _read_traces reads the traces off the tables tt in the same array.
     """
     p = tt.p
-    stacked = [a for a, _ in rows] + [b for _, b in rows]
+    stacked = [row.a for row in rows] + [row.b for row in rows]
     width = max(map(len, stacked), default=0)
     coeffs = np.array([[c % p for c in row] + [0] * (width - len(row)) for row in stacked],
                       dtype=np.int64)
@@ -231,13 +292,121 @@ def _block_traces(
     for k in reversed(range(width)):
         acc *= ts
         acc += coeffs[:, k, None]
-        acc %= p
-    return short_traces(acc[: len(rows)], acc[len(rows) :], tt)
+        _reduce(acc, p)
+    del ts
+    return _read_traces(acc.reshape(2, len(rows), p), tt)
 
 
 def traces_mod_p(fam: CurveFamily, p: int) -> np.ndarray:
     """All traces a_t(p) for t = 0..p-1, as an int64 array, from trace_tables(p)."""
     return _block_traces(coefficient_rows([fam]), trace_tables(p))[0].astype(np.int64)
+
+
+def _check_hasse(values: np.ndarray, m: int, p: int) -> None:
+    """ArithmeticError unless every value lies in the Hasse range |a| <= m = isqrt(4p)."""
+    if int(values.min()) < -m or int(values.max()) > m:
+        raise ArithmeticError("a trace at p=%d lies outside the Hasse range |a| <= %d" % (p, m))
+
+
+def _trace_histograms(traces: np.ndarray, p: int) -> np.ndarray:
+    """counts[f, m + v] = #{t : traces[f, t] = v}, |v| <= m = isqrt(4p): one bincount."""
+    m = math.isqrt(4 * p)
+    width = 2 * m + 1
+    _check_hasse(traces, m, p)
+    bins = traces + (m + width * np.arange(len(traces)))[:, None]
+    return np.bincount(bins.ravel(), minlength=width * len(traces)).reshape(-1, width)
+
+
+def _kernel_histograms(rows: list[CoefficientRow], tt: TraceTables) -> np.ndarray:
+    """_trace_histograms of every row's traces, read in blocks of at most _BLOCK_FIBERS fibers."""
+    step = max(1, _BLOCK_FIBERS // tt.p)
+    return np.concatenate([_trace_histograms(_block_traces(rows[lo : lo + step], tt), tt.p)
+                           for lo in range(0, len(rows), step)])
+
+
+def _class_histograms(shapes: list[tuple[str, int, int]], tt: TraceTables) -> np.ndarray:
+    """_trace_histograms of served families, from one class histogram of ss, in O(p + sqrt(p)).
+
+    H[c, m + v] = #{k < p - 1 : k = c mod 4, ss[k] = v}, and H[4 + c] is H[c] reversed,
+    the count of -v. Each shape's traces are +-ss over the k of one parity, each k twice:
+      vertical, B = g^j: a = chi(A0 B) ss[3 L - 2 j], L = l(A0); j and j + (p - 1)/2 reach
+        the same k, with opposite chi when p = 3 mod 4, and with (-1)^(L + j) fixed by
+        c = k mod 4 when p = 1 mod 4: j = (3 L - c)/2 mod 2. B = 0 gives va[L mod 4];
+      quartic, t = g^j: a = chi(alpha beta) ss[3 l(alpha) - 2 l(beta) - 2 j]; t = 0 gives 0.
+    A family's counts are its row of weights on the eight rows of H, plus its one CM fiber.
+    """
+    p, log = tt.p, tt.log
+    m = math.isqrt(4 * p)
+    width = 2 * m + 1
+    _check_hasse(tt.ss, m, p)
+    bins = tt.ss.astype(np.int64)
+    bins += m
+    for c in range(1, 4):
+        bins[c::4] += c * width
+    h = np.bincount(bins, minlength=4 * width).reshape(4, width)
+    weights, cm = [], []
+    for kind, x, y in shapes:
+        ell = int(log[x % p])
+        w = [0] * 8
+        if kind == "quartic":
+            neg = 4 * ((ell + int(log[y % p])) & 1)
+            w[ell % 2 + neg] = w[ell % 2 + 2 + neg] = 2
+            cm.append(0)
+        else:
+            for c in (ell % 2, ell % 2 + 2):
+                if p % 4 == 3:
+                    w[c] = w[c + 4] = 1
+                else:
+                    w[c + 4 * ((ell + (3 * ell - c) % 4 // 2) & 1)] = 2
+            cm.append(int(tt.va[ell % 4]))
+        weights.append(w)
+    counts = np.array(weights, dtype=np.int64) @ np.concatenate([h, h[:, ::-1]])
+    counts[np.arange(len(cm)), np.array(cm) + m] += 1
+    return counts
+
+
+def _histograms(rows: list[CoefficientRow], tt: TraceTables) -> np.ndarray:
+    """_trace_histograms of every row's traces, without the traces where the class path serves.
+
+    A served row falls back to its traces at a p that divides one of its two integers.
+    """
+    p = tt.p
+    served, rest = [], []
+    for i, row in enumerate(rows):
+        (served if row.served and row.served[1] % p and row.served[2] % p else rest).append(i)
+    counts = np.empty((len(rows), 2 * math.isqrt(4 * p) + 1), dtype=np.int64)
+    if served:
+        counts[served] = _class_histograms([rows[i].served for i in served], tt)
+    if rest:
+        counts[rest] = _kernel_histograms([rows[i] for i in rest], tt)
+    return counts
+
+
+def _power_sums(counts: np.ndarray, p: int, r_max: int) -> list[list[int]]:
+    """Each row's S_1..S_r_max = sum over v of counts[f, m + v] v^r, as Python ints.
+
+    The product is exact: int64 for every r with p m^r < 2^63, which bounds the
+    partial sums of a row of p traces, and Python ints for higher r.
+    """
+    m = counts.shape[1] // 2
+    n64 = sum(p * m**r < 1 << 63 for r in range(1, r_max + 1))  # at least 1, as p <= _MAX_MODULUS
+    values = np.arange(-m, m + 1)
+    powers64 = np.stack([values**r for r in range(1, n64 + 1)], axis=1)
+    powers_big = values.astype(object)[:, None] ** np.arange(n64 + 1, r_max + 1, dtype=object)
+    return np.hstack([counts @ powers64, counts.astype(object) @ powers_big]).tolist()
+
+
+def _prime_records(
+    families: list[CurveFamily], rows: list[CoefficientRow], tt: TraceTables, r_max: int
+) -> list[MomentRecord]:
+    """prime_moment_sums at tt.p, from the tables tt and coefficient_rows(families)."""
+    p = tt.p
+    sums = _power_sums(_histograms(rows, tt), p, r_max)
+    for fam, row, s in zip(families, rows, sums):
+        if len(row.a) <= 4 and len(row.b) <= 6 and s[0] % p:  # deg A <= 3 and deg B <= 5
+            raise ArithmeticError("S1 of %s is %d, not 0 mod p=%d" % (fam.name, s[0], p))
+    idx = prime_index_of(p)
+    return [MomentRecord(fam.name, idx, p, tuple(s)) for fam, s in zip(families, sums)]
 
 
 def prime_moment_sums(
@@ -249,10 +418,10 @@ def prime_moment_sums(
 
     Every trace lies in the Hasse range |a| <= m = isqrt(4p), singular fibers
     too (their raw sums are 0 or +-1), so a family's traces have a histogram
-    of 2m + 1 bins and S_r = sum over v of count_v v^r, one matrix product for
-    a block of families. The product is exact: int64 for every r with
-    p m^r < 2^63, which bounds its partial sums, and Python ints for higher r.
-    A trace outside the range raises ArithmeticError, and so does an S1 that is
+    of 2m + 1 bins and S_r = sum over v of count_v v^r (_power_sums). A served
+    family (CoefficientRow) takes its histogram from ss by class (_class_histograms),
+    the rest from their traces, read in blocks (_kernel_histograms).
+    A value outside the range raises ArithmeticError, and so does an S1 that is
     not 0 mod p when deg A <= 3 and deg B <= 5 (A and B as in coefficient_rows):
     chi(u) = u^m mod p with m = (p - 1)/2, so a_t = [x^(p-1)] (x^3 + A x + B)^m mod p,
     a polynomial in t of degree at most m max(deg A/2, deg B/3) < p - 1, and the sum
@@ -261,31 +430,9 @@ def prime_moment_sums(
     if not 1 <= r_max <= R_MAX:
         raise ValueError("r_max must be in 1..%d, got %r" % (R_MAX, r_max))
     tt = trace_tables(p)  # checks p; first, so the FFT's peak does not add to the block arrays
-    idx = prime_index_of(p)
-    m = math.isqrt(4 * p)
-    width = 2 * m + 1
-    n64 = sum(p * m**r < 1 << 63 for r in range(1, r_max + 1))  # at least 1, as p <= _MAX_MODULUS
-    values = np.arange(-m, m + 1)
-    powers64 = np.stack([values**r for r in range(1, n64 + 1)], axis=1)
-    powers_big = values.astype(object)[:, None] ** np.arange(n64 + 1, r_max + 1, dtype=object)
     if rows is None:
         rows = coefficient_rows(families)
-    records = []
-    step = max(1, _BLOCK_FIBERS // p)
-    for lo in range(0, len(families), step):
-        block = families[lo : lo + step]
-        traces = _block_traces(rows[lo : lo + step], tt)
-        if int(np.abs(traces).max()) > m:
-            raise ArithmeticError("a trace at p=%d lies outside the Hasse range |a| <= %d" % (p, m))
-        bins = traces + (m + width * np.arange(len(block)))[:, None]
-        counts = np.bincount(bins.ravel(), minlength=width * len(block)).reshape(-1, width)
-        sums = np.hstack([counts @ powers64, counts.astype(object) @ powers_big]).tolist()
-        for fam, (a, b), row in zip(block, rows[lo : lo + step], sums):
-            if len(a) <= 4 and len(b) <= 6 and row[0] % p:  # deg A <= 3 and deg B <= 5
-                raise ArithmeticError("S1 of %s is %d, not 0 mod p=%d" % (fam.name, row[0], p))
-        records += [MomentRecord(fam.name, idx, p, tuple(row))  # object dtype: Python ints
-                    for fam, row in zip(block, sums)]
-    return records
+    return _prime_records(families, rows, tt, r_max)
 
 
 def moment_sums(fam: CurveFamily, p: int, r_max: int = DEFAULT_R_MAX) -> MomentRecord:

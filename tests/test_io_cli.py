@@ -1077,6 +1077,44 @@ def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, 
     ]
 
 
+def test_cli_oracle_compares_the_moments_read_by_class(family_file, tmp_path, monkeypatch,
+                                                        capsys):
+    import ecmoments.traces as traces
+
+    real = traces._class_histograms  # fam_a is vertical: A = -1323, B = 3942 + 46656 t
+    monkeypatch.setattr(traces, "_class_histograms", lambda shapes, tt: real(shapes, tt)[:, ::-1])
+    argv = ["oracle", "--families", family_file, "--start", "3", "--end", "6",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    # mirrored counts negate the odd moments, which vanish for p = 3 mod 4; 7 divides
+    # 1323, so fam_a's record at p = 7 comes from its traces
+    assert capsys.readouterr().out.splitlines() == [
+        "family fam_a p=5: FAIL in S_r at r=[3, 5, 7]",
+        "family fam_a p=7: OK (7 fibers)",
+        "family fam_a p=11: OK (11 fibers)",
+        "family fam_a p=13: FAIL in S_r at r=[3, 5, 7]",
+        "family fam_b p=5: OK (5 fibers)",
+        "family fam_b p=7: OK (7 fibers)",
+        "family fam_b p=11: OK (11 fibers)",
+        "family fam_b p=13: OK (13 fibers)",
+    ]
+
+    def one_count_up(shapes, tt):
+        counts = real(shapes, tt)
+        counts[:, counts.shape[1] // 2] -= 1
+        counts[:, counts.shape[1] // 2 + 1] += 1
+        return counts
+
+    monkeypatch.setattr(traces, "_class_histograms", one_count_up)
+    assert main(argv) == 2
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "family fam_a p=5: FAIL: S1 of fam_a is 1, not 0 mod p=5",
+        "family fam_a p=7: OK (7 fibers)",
+        "family fam_a p=11: FAIL: S1 of fam_a is 1, not 0 mod p=11",
+        "family fam_a p=13: FAIL: S1 of fam_a is 1, not 0 mod p=13",
+    ]
+
+
 def test_cli_oracle_rejects_samples_below_one(family_file, tmp_path, capsys):
     for samples in ("0", "-2"):
         rc = main(["oracle", "--families", family_file, "--end", "12", "--samples", samples,

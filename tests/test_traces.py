@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecmoments import (
+    builtin_corpus,
     cached_legendre_table,
     corpus_family,
     family,
@@ -32,6 +33,7 @@ from ecmoments.traces import (
     _correlate_with_chi,
     _fast_length,
     _table_dtype,
+    coefficient_rows,
     prime_moment_sums,
     short_traces,
     trace_tables,
@@ -123,6 +125,16 @@ def test_short_traces_exhaustive_to_127():
         assert np.array_equal(got, direct_short_traces(a, b, p)), p
 
 
+def test_short_traces_leave_their_arguments_and_reject_residues_outside_0_to_p():
+    tt = trace_tables(11)
+    a, b = np.arange(11), np.arange(11)[::-1].copy()
+    short_traces(a, b, tt)
+    assert np.array_equal(a, np.arange(11)) and np.array_equal(b, np.arange(10, -1, -1))
+    for bad in (11, -1):
+        with pytest.raises(ValueError, match=r"\[0, 11\)"):
+            short_traces(np.array([bad]), np.array([1]), tt)
+
+
 @pytest.mark.parametrize("p", [8209, 16411])  # 2p - 1 just past 2^14 and 2^15
 def test_short_traces_sampled_past_a_power_of_two(p):
     rng = np.random.default_rng(p)
@@ -206,6 +218,28 @@ def test_trace_tables_memory_is_linear_with_a_small_constant():
         tracemalloc.stop()
     assert tt.p == p
     assert held <= 11 * p and peak <= 100 * p, (held / p, peak / p)
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [10007, 100003])
+def test_prime_moment_sums_memory_reads_traces_in_place(p):
+    """Served families need no trace row, and the rest are read in the Horner pass's array."""
+    fams = builtin_corpus()
+    prime_index_of(p)
+    coefficient_rows(fams)  # compute_invariants is cached
+    np.fft.rfft(np.zeros(2))  # numpy 2 imports numpy.fft on first use; not inside the window
+    tables = _peak(lambda: trace_tables(p))
+    peak = _peak(lambda: prime_moment_sums(fams, p, 8))
+    # p = 10007 reads the five unserved families in one block; at 100003 each is its own
+    assert peak <= (200 * p if p == 10007 else tables + 5 * p), (peak / p, tables / p)
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +547,60 @@ def test_prime_moment_sums_raise_when_one_trace_moves_by_one(p, monkeypatch):
     monkeypatch.setattr(traces, "_block_traces", off_by_one)
     with pytest.raises(ArithmeticError, match="not 0 mod p=%d" % (p,)):
         prime_moment_sums(fams, p)
+
+
+# every served corpus family; the six served families of bench/inputs.py's survey_families(1);
+# and one family for each fallback the corpus lacks: 13 divides b1, 17 divides alpha, 19 beta
+_SERVED = [corpus_family(n) for n in (
+    "1_0_0_-1_t", "1_0_-2_1_t", "1_0_1_-1_t", "1_1_-1_1_t", "1_1_-3_1_t", "1_0_-3_1_t",
+    "1_1_-2_1_t", "0_1_1_1_t", "0_1_3_1_t", "0_0_0_-t2_t4", "1_0_0_1_t")] + [
+    family("s004_t1", 1, -1, 0, -5, [6, -2]), family("s006_t1", 1, -1, 1, 3, [-9, 2]),
+    family("s025_t1", 0, 1, -1, -1, [2, 1]), family("s032_t1", 1, -2, 0, 4, [0, -1]),
+    family("s035_t1", 0, -2, -1, 3, [-8, 1]), family("s045_t1", 1, -2, -1, -1, [4, -1]),
+    family("b1_13", 0, 0, 0, 1, [1, 13]), family("alpha_17", 0, 0, 0, [0, 0, 17], [0, 0, 0, 0, 1]),
+    family("beta_19", 0, 0, 0, [0, 0, 1], [0, 0, 0, 0, 19])]
+
+
+def _assert_both_paths_agree(p):
+    """prime_moment_sums equals S_1..S_8 of every row read off its traces, by the general kernel."""
+    rows = coefficient_rows(_SERVED)
+    kernel = traces._power_sums(traces._kernel_histograms(rows, trace_tables(p)), p, 8)
+    assert [list(rec.sums) for rec in prime_moment_sums(_SERVED, p, 8, rows)] == kernel, p
+
+
+def test_served_shapes_are_the_eleven_corpus_families_and_no_other():
+    rows = coefficient_rows(builtin_corpus() + [rank6_family()])
+    assert sum(row.served is not None for row in rows) == 11
+    assert all(row.served for row in coefficient_rows(_SERVED))
+    assert coefficient_rows([corpus_family("0_0_0_-t2_t4")])[0].served == ("quartic", -1296, 46656)
+    assert coefficient_rows([corpus_family("1_0_0_1_t")])[0].served == ("vertical", 1269, 46656)
+
+
+def test_class_path_equals_the_kernel_at_every_prime_to_1997():
+    for p in [q for q in sieve_primes(302) if q > 3]:
+        _assert_both_paths_agree(p)
+
+
+@pytest.mark.parametrize("p", [100003, 100049, 1000003, 1000033])  # 3, 1, 3, 1 mod 4
+def test_class_path_equals_the_kernel_at_large_primes(p):
+    _assert_both_paths_agree(p)
+
+
+def test_served_families_read_traces_only_where_p_divides_their_integers(monkeypatch):
+    rows = coefficient_rows(_SERVED + [rank6_family()])
+    read, real = [], traces._block_traces
+
+    def block_traces(block, tt):
+        read.extend(block)
+        return real(block, tt)
+
+    monkeypatch.setattr(traces, "_block_traces", block_traces)
+    for p in (5, 7, 11, 13, 17, 19, 47, 53, 83, 101, 10007):
+        read.clear()
+        prime_moment_sums(_SERVED + [rank6_family()], p, 8, rows)
+        assert read == [row for row in rows if not row.served or row.served[1] % p == 0
+                        or row.served[2] % p == 0], p
+    assert read == rows[-1:]  # at p = 10007 only rank6_big's traces are read
 
 
 def test_moduli_beyond_int64_products_are_rejected_first(monkeypatch):
