@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import sys
@@ -243,17 +244,30 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the code of a mismatch here
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (FamilyParseError, ValidationError, FileNotFoundError, ValueError) as exc:
+    except BrokenPipeError:  # stdout closed early: entry() ends the process quietly
+        raise
+    except (FamilyParseError, ValidationError, OSError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return EXIT_INVALID
+    except ArithmeticError as exc:  # a failed certificate: Birch, Hasse, S1 or the FFT check
+        print("error: %s" % (exc,), file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 def entry() -> None:
-    """Run main() as a process; a reader that closes stdout early ends it with exit 1."""
+    """Run main() as a process; a reader that closes stdout early ends it with exit 1.
+
+    The commands make no reference cycles, so the process runs without the
+    cyclic collector, and freezes what it holds at the end so that shutdown
+    does not scan it either. main() itself leaves the collector as it is.
+    """
+    gc.disable()
     try:
         status = main()
         sys.stdout.flush()
@@ -261,6 +275,7 @@ def entry() -> None:
         # the interpreter's final flush must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = 1
+    gc.freeze()
     sys.exit(status)
 
 

@@ -618,11 +618,16 @@ def test_trace_tables_are_freed_when_their_task_returns(monkeypatch, force_pool)
 
     monkeypatch.setattr(traces, "trace_tables", watched)
     fams = builtin_corpus()[:4]
-    compute_records(fams, sieve_primes(7)[2:], r_max=2)  # in-process
-    compute_records(fams, sieve_primes(7)[2:], r_max=2, workers=2)  # in the thread pool
-    gc.collect()
-    assert len(refs) == 10
-    assert [ref for ref in refs if ref() is not None] == []
+    # the CLI runs without the cyclic collector: reference counting alone must free them
+    gc.disable()
+    try:
+        for workers in (1, 2):  # in-process, then in the thread pool
+            refs.clear()
+            compute_records(fams, sieve_primes(7)[2:], r_max=2, workers=workers)
+            assert len(refs) == 5
+            assert [ref for ref in refs if ref() is not None] == [], workers
+    finally:
+        gc.enable()
 
 
 def test_pool_size_follows_the_work(monkeypatch, family_file, pool_spy):
@@ -1214,6 +1219,40 @@ def test_discover_with_no_class_to_fit_leaves_numpy_unloaded(tmp_path):
     assert not set(ENGINE_MODULES + NEVER_MODULES) & set(loaded["discover"])
 
 
+CYCLE_PROBE = """\
+import gc, json, sys
+gc.disable()  # as under entry()
+import concurrent.futures.thread, numpy.fft  # what the commands import lazily, imported first
+import ecmoments.cli, ecmoments.traces
+from ecmoments import runner
+runner._WORKER_FIBERS = 1  # --threads 2 starts the pool at any window
+out, steps = sys.argv[1], json.loads(sys.argv[2])
+gc.collect()
+found = []
+for argv in steps:
+    ecmoments.cli.main(argv + ["--out", out])
+    found.append(gc.collect())
+print(json.dumps(found))
+"""
+
+
+def test_commands_leave_no_cyclic_garbage_that_grows_with_the_window(tmp_path):
+    # entry() runs each command without the cyclic collector: garbage that grows with the
+    # primes, such as a reference cycle per prime, would grow memory on a long run
+    steps = [["moments", "--threads", "1"], ["moments", "--threads", "1", "--resume"],
+             ["report"], ["verify"], ["discover", "--modulus", "2,0,0"], ["oracle"],
+             ["moments", "--threads", "2"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecmoments.__file__)))
+    found = {}
+    for end in (12, 60):  # 10 and 58 primes
+        window = [argv + ["--end", str(end)] for argv in steps]
+        proc = subprocess.run([sys.executable, "-c", CYCLE_PROBE, str(tmp_path / str(end)),
+                               json.dumps(window)], env=env, capture_output=True, text=True,
+                              check=True)
+        found[end] = json.loads(proc.stdout.splitlines()[-1])
+    assert found[12] == found[60]
+
+
 def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
     import ecmoments.cli as cli
 
@@ -1274,6 +1313,86 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["discover", "--modulus", "9,9,9", "--out", str(tmp_path)]) == 1
     assert main(["discover", "--modulus", "1,2", "--out", str(tmp_path)]) == 1
     assert main(["moments", "--rmax", "9", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["moments", "--end", "x"], "argument --end: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+])
+def test_cli_usage_errors_exit_1_with_argparse_message(argv, message, capsys):
+    # exit 2 is a mismatch; argparse's own code for a usage error would read as one
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ecmoments")
+    assert message in err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["moments", "--help"]) == 0
+    assert "--rmax RMAX" in capsys.readouterr().out
+
+
+def test_cli_process_usage_error_exits_1(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecmoments.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ecmoments.cli", "verify", "--bogus"], env=env,
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "ecmoments: error: unrecognized arguments: --bogus" in proc.stderr
+
+
+def _error_line(capsys) -> str:
+    """The one line a failed command writes to stderr; stdout stays empty."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def test_cli_report_on_a_directory_csv_exits_1(tmp_path, capsys):
+    assert main(["report", "--csv", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert "Is a directory" in _error_line(capsys)
+
+
+def test_cli_moments_on_a_directory_family_file_exits_1(tmp_path, capsys):
+    assert main(["moments", "--families", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert "Is a directory" in _error_line(capsys)
+
+
+def test_cli_moments_into_an_existing_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["moments", "--end", "4", "--out", str(out)]) == 1
+    assert "File exists" in _error_line(capsys)
+    assert out.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments"],
+    ["verify"],
+    ["discover", "--modulus", "2,0,0"],
+])
+def test_cli_failed_certificate_exits_2_with_one_error_line(monkeypatch, tmp_path, capsys, argv):
+    import ecmoments.traces as traces
+
+    real = traces._birch_sums
+    monkeypatch.setattr(traces, "_birch_sums", lambda p: [s + 1 for s in real(p)])
+    assert main(argv + ["--start", "3", "--end", "12", "--out", str(tmp_path)]) == 2
+    line = _error_line(capsys)
+    assert line.startswith("error: trace tables at p=")
+    assert line.endswith(" miss Birch's sum of a^2")
+    assert list(tmp_path.iterdir()) == []  # moments writes no CSV
+
+
+def test_main_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys):
+    import gc
+
+    assert main(["verify", "--end", "12", "--out", str(tmp_path)]) == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("argv, lines_read", [
