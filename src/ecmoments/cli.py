@@ -12,7 +12,7 @@ from fractions import Fraction
 from .bias import residual_exponents
 from .closed_forms import verify_family
 from .discovery import ROBUST_FLOOR, SOME_FALSIFIED, fit_classes, fit_plan, summarize
-from .families import R_MAX, MomentRecord, discriminant, fiber_at, match_template
+from .families import R_MAX, MomentRecord, match_template
 from .io import (
     FamilyParseError,
     RunConfig,
@@ -21,7 +21,7 @@ from .io import (
     moments_csv_path,
 )
 from .report import report_txt_path, run_report
-from .runner import compute_records, run_moments
+from .runner import compute_records, oracle_verdicts, run_moments
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -39,8 +39,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      help="last prime index, inclusive (default %(default)s)")
     sub.add_argument("--out", default=_DEFAULTS["out_dir"], metavar="DIR", help="output directory")
     sub.add_argument("--threads", type=int, default=_DEFAULTS["workers"], metavar="N",
-                     help="most worker threads across primes (default %(default)s); a window "
-                          "too small to repay them runs in-process")
+                     help="most worker threads across primes (default %(default)s), one per "
+                          "prime large enough to repay it; below two, in-process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,9 +186,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .traces import (_block_traces, _power_sums, _prime_records, _trace_histograms,
-                         coefficient_rows, point_count_oracle, trace_tables)
-
     if args.samples < 1:
         raise ValidationError("--samples must be >= 1, got %r" % (args.samples,))
     cfg = _config(args, r_max=1)
@@ -196,42 +193,14 @@ def _cmd_oracle(args) -> int:
     primes = cfg.primes()
     every = max(61, args.samples)  # primes up to this have every fiber checked
     rng = random.Random(0)  # drawn family-major, the order the lines are printed in
-    samples = {(i, p): range(p) if p <= every else sorted(rng.sample(range(p), args.samples))
-               for i in range(len(families)) for p in primes}
-    rows = coefficient_rows(families)
-    lines = {}
-    status = EXIT_OK
-    for p in primes:  # each prime's tables are built once, for every family
-        tt = trace_tables(p)
-        for i, fam in enumerate(families):
-            traces = _block_traces([rows[i]], tt)[0]
-            ts = samples[i, p]
-            bad = []
-            for t in ts:
-                fib = fiber_at(fam, t, p)
-                a_t = int(traces[t])
-                if a_t != p - point_count_oracle(fib):
-                    bad.append(t)
-                elif discriminant(fib) != 0 and a_t * a_t > 4 * p:
-                    bad.append(t)
-            verdict = "FAIL at t=%s" % (bad,) if bad else None
-            if not bad:  # the whole row's S_1..S_R_MAX against the record moments writes
-                try:  # a served family's record is read by class; both raise on a certificate
-                    row_sums = _power_sums(_trace_histograms(traces[None], p), p, R_MAX)[0]
-                    (record,) = _prime_records([fam], [rows[i]], tt, R_MAX)
-                except ArithmeticError as exc:
-                    verdict = "FAIL: %s" % (exc,)
-                else:
-                    off = [r for r, (x, y) in enumerate(zip(row_sums, record.sums), 1) if x != y]
-                    verdict = "FAIL in S_r at r=%s" % (off,) if off else None
-            if verdict:
-                status = EXIT_MISMATCH
-            else:
-                verdict = "OK (%d fibers)" % (len(ts),)
-            lines[i, p] = "family %s p=%d: %s" % (fam.name, p, verdict)
-    for key in sorted(lines):
-        print(lines[key])
-    return status
+    samples = [[range(p) if p <= every else sorted(rng.sample(range(p), args.samples))
+                for p in primes] for _ in families]
+    verdicts = oracle_verdicts(families, dict(zip(primes, zip(*samples))), cfg.workers)
+    for f, fam in enumerate(families):
+        for p, ts in zip(primes, samples[f]):
+            verdict = verdicts[p][f] or "OK (%d fibers)" % (len(ts),)
+            print("family %s p=%d: %s" % (fam.name, p, verdict))
+    return EXIT_MISMATCH if any(any(found) for found in verdicts.values()) else EXIT_OK
 
 
 _COMMANDS = {

@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .families import DEFAULT_R_MAX, R_MAX, CurveFamily, Fiber, MomentRecord, compute_invariants
+from .families import (DEFAULT_R_MAX, R_MAX, CurveFamily, Fiber, MomentRecord, compute_invariants,
+                       discriminant, fiber_at)
 from .modular import _MAX_MODULUS, prime_index_of
 
 
@@ -21,6 +22,41 @@ def point_count_oracle(fiber: Fiber) -> int:
     xs = np.arange(p, dtype=np.int64)
     roots = np.bincount(xs * xs % p, minlength=p)
     return int(roots[(xs * xs % p * xs + a * xs + b) % p].sum())
+
+
+def prime_oracle_check(
+    families: list[CurveFamily], p: int, samples: list, rows: list[CoefficientRow]
+) -> list[str | None]:
+    """What the point counts find wrong with each family at p, or None where nothing is.
+
+    Each trace at the t of samples[f] must be p minus point_count_oracle, in the Hasse range if
+    smooth; then the S_1..S_R_MAX of families[f]'s row (rows is coefficient_rows(families)) must
+    equal its record from the _prime_records call moments makes, whose raising fails them all.
+    """
+    tt = trace_tables(p)
+    try:
+        records, failed = _prime_records(families, rows, tt, R_MAX), None
+    except ArithmeticError as exc:
+        records, failed = None, "FAIL: %s" % (exc,)
+    verdicts = []
+    for f, (fam, row, ts) in enumerate(zip(families, rows, samples)):
+        traces = _block_traces([row], tt)
+        bad = []
+        for t in ts:
+            fib, a_t = fiber_at(fam, t, p), int(traces[0, t])
+            if a_t != p - point_count_oracle(fib) or discriminant(fib) and a_t * a_t > 4 * p:
+                bad.append(t)
+        if bad or failed:
+            verdicts.append("FAIL at t=%s" % (bad,) if bad else failed)
+            continue
+        try:
+            row_sums = _power_sums(_trace_histograms(traces, p), p, R_MAX)[0]
+        except ArithmeticError as exc:
+            verdicts.append("FAIL: %s" % (exc,))
+            continue
+        off = [r for r, (x, y) in enumerate(zip(row_sums, records[f].sums), 1) if x != y]
+        verdicts.append("FAIL in S_r at r=%s" % (off,) if off else None)
+    return verdicts
 
 
 # fibers per block of families at one prime: at small p every family shares

@@ -44,8 +44,8 @@ def records_by_family(corpus_records):
 def force_pool(monkeypatch):
     """Start the thread pool on any window, however small, when workers > 1.
 
-    The runner computes in-process unless the work repays each worker
-    thread; the tests' windows are far below that, so worker-count tests
-    lower the threshold to keep the pool's results under test.
+    The runner starts a thread only for a prime large enough to repay it;
+    the tests' primes are far below that, so worker-count tests lower the
+    threshold to keep the pool's results under test.
     """
-    monkeypatch.setattr(runner, "_WORKER_FIBERS", 1)
+    monkeypatch.setattr(runner, "_THREAD_MIN_P", 1)

@@ -440,6 +440,8 @@ def test_compute_records_order_and_workers(family_file, force_pool):
     assert compute_records(fams, sieve_primes(10)[2:], r_max=2, workers=3) == one
     for rec in one:
         assert rec == moment_sums(next(f for f in fams if f.name == rec.family), rec.p, 2)
+    with pytest.raises(ValueError, match="distinct"):  # records are keyed by family name
+        compute_records(fams[:1] * 2, [5, 7], r_max=2)
 
 
 def test_run_moments_and_resume(tmp_path, family_file, capsys):
@@ -541,8 +543,8 @@ def pool_spy(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
         def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)  # (p, family positions)
-            pools[-1].update(primes=[p for p, _ in tasks], chunksize=chunksize)
+            tasks = list(tasks)  # one prime each
+            pools[-1].update(primes=tasks, chunksize=chunksize)
             return super().map(fn, tasks, chunksize=chunksize)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
@@ -560,12 +562,21 @@ def test_pool_takes_largest_primes_first(family_file, force_pool, pool_spy):
 
 
 def test_pool_starts_at_the_measured_crossover(pool_spy):
-    corpus = builtin_corpus()
-    # 1.59 M fibers, just below two threads' break-even, then 1.99 M
-    compute_records(corpus, sieve_primes(190)[2:], r_max=1, workers=2)
+    from ecmoments.runner import _THREAD_MIN_P
+
+    fams = builtin_corpus()[:1]
+    primes = sieve_primes(3600)  # to 33577
+    below = [p for p in primes if p < _THREAD_MIN_P][-2:]
+    above = [p for p in primes if p >= _THREAD_MIN_P][:2]
+    # one thread per prime that repays it: none below the threshold, one is not a pool
+    compute_records(fams, below, r_max=1, workers=2)
+    compute_records(fams, below[1:] + above[:1], r_max=1, workers=2)
     assert pool_spy == []
-    compute_records(corpus, sieve_primes(210)[2:], r_max=1, workers=2)
-    assert [pool["workers"] for pool in pool_spy] == [2]
+    compute_records(fams, above, r_max=1, workers=2)
+    assert pool_spy == [{"workers": 2, "primes": above[::-1], "chunksize": 1}]
+    # once two primes repay a thread, the pool takes the window's smaller primes too
+    compute_records(fams, below + above, r_max=1, workers=2)
+    assert pool_spy[1] == {"workers": 2, "primes": (below + above)[::-1], "chunksize": 1}
 
 
 def test_threads_build_each_prime_tables_once(monkeypatch, force_pool, pool_spy):
@@ -635,10 +646,11 @@ def test_pool_size_follows_the_work(monkeypatch, family_file, pool_spy):
 
     fams = parse_family_file(family_file)
     primes = sieve_primes(13)[2:]
-    work = len(fams) * sum(primes)  # fibers of the window
     expected = compute_records(fams, primes, r_max=3)
-    for fibers_per_worker, started in ((work // 2 + 1, []), (work // 2, [2]), (1, [2, 4])):
-        monkeypatch.setattr(runner, "_WORKER_FIBERS", fibers_per_worker)
+    # a thread per prime at or above the threshold, up to the 4 asked for
+    for least, started in ((primes[-1] + 1, []), (primes[-1], []), (primes[-2], [2]),
+                           (primes[0], [2, 4])):
+        monkeypatch.setattr(runner, "_THREAD_MIN_P", least)
         assert compute_records(fams, primes, r_max=3, workers=4) == expected
         assert [pool["workers"] for pool in pool_spy] == started
 
@@ -1083,26 +1095,27 @@ def test_cli_oracle_checks_the_trace_engine(family_file, tmp_path, monkeypatch, 
 
 
 def test_cli_oracle_compares_the_moments_read_by_class(family_file, tmp_path, monkeypatch,
-                                                        capsys):
+                                                        capsys, force_pool):
     import ecmoments.traces as traces
 
     real = traces._class_histograms  # fam_a is vertical: A = -1323, B = 3942 + 46656 t
     monkeypatch.setattr(traces, "_class_histograms", lambda shapes, tt: real(shapes, tt)[:, ::-1])
     argv = ["oracle", "--families", family_file, "--start", "3", "--end", "6",
             "--out", str(tmp_path)]
-    assert main(argv) == 2
-    # mirrored counts negate the odd moments, which vanish for p = 3 mod 4; 7 divides
-    # 1323, so fam_a's record at p = 7 comes from its traces
-    assert capsys.readouterr().out.splitlines() == [
-        "family fam_a p=5: FAIL in S_r at r=[3, 5, 7]",
-        "family fam_a p=7: OK (7 fibers)",
-        "family fam_a p=11: OK (11 fibers)",
-        "family fam_a p=13: FAIL in S_r at r=[3, 5, 7]",
-        "family fam_b p=5: OK (5 fibers)",
-        "family fam_b p=7: OK (7 fibers)",
-        "family fam_b p=11: OK (11 fibers)",
-        "family fam_b p=13: OK (13 fibers)",
-    ]
+    for threads in ("1", "2"):  # in-process, then on the pool: the same lines
+        assert main(argv + ["--threads", threads]) == 2
+        # mirrored counts negate the odd moments, which vanish for p = 3 mod 4; 7 divides
+        # 1323, so fam_a's record at p = 7 comes from its traces
+        assert capsys.readouterr().out.splitlines() == [
+            "family fam_a p=5: FAIL in S_r at r=[3, 5, 7]",
+            "family fam_a p=7: OK (7 fibers)",
+            "family fam_a p=11: OK (11 fibers)",
+            "family fam_a p=13: FAIL in S_r at r=[3, 5, 7]",
+            "family fam_b p=5: OK (5 fibers)",
+            "family fam_b p=7: OK (7 fibers)",
+            "family fam_b p=11: OK (11 fibers)",
+            "family fam_b p=13: OK (13 fibers)",
+        ], threads
 
     def one_count_up(shapes, tt):
         counts = real(shapes, tt)
@@ -1111,13 +1124,44 @@ def test_cli_oracle_compares_the_moments_read_by_class(family_file, tmp_path, mo
         return counts
 
     monkeypatch.setattr(traces, "_class_histograms", one_count_up)
-    assert main(argv) == 2
-    assert capsys.readouterr().out.splitlines()[:4] == [
-        "family fam_a p=5: FAIL: S1 of fam_a is 1, not 0 mod p=5",
-        "family fam_a p=7: OK (7 fibers)",
-        "family fam_a p=11: FAIL: S1 of fam_a is 1, not 0 mod p=11",
-        "family fam_a p=13: FAIL: S1 of fam_a is 1, not 0 mod p=13",
-    ]
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads]) == 2
+        # the certificate raises in the one call that makes every record of the prime
+        assert capsys.readouterr().out.splitlines() == [
+            "family fam_a p=5: FAIL: S1 of fam_a is 1, not 0 mod p=5",
+            "family fam_a p=7: OK (7 fibers)",
+            "family fam_a p=11: FAIL: S1 of fam_a is 1, not 0 mod p=11",
+            "family fam_a p=13: FAIL: S1 of fam_a is 1, not 0 mod p=13",
+            "family fam_b p=5: FAIL: S1 of fam_a is 1, not 0 mod p=5",
+            "family fam_b p=7: OK (7 fibers)",
+            "family fam_b p=11: FAIL: S1 of fam_a is 1, not 0 mod p=11",
+            "family fam_b p=13: FAIL: S1 of fam_a is 1, not 0 mod p=13",
+        ], threads
+
+
+def test_cli_oracle_checks_the_moments_of_multi_family_blocks(tmp_path, monkeypatch, capsys):
+    import ecmoments.traces as traces
+
+    real = traces._trace_histograms
+
+    def two_counts_moved(traces_, p):
+        # S1 and the Hasse range stay, so no certificate fires; S2..S8 of row 1 move
+        counts = real(traces_, p)
+        if len(traces_) > 1:
+            m = counts.shape[1] // 2
+            counts[1, m] -= 2
+            counts[1, m - 2] += 1
+            counts[1, m + 2] += 1
+        return counts
+
+    monkeypatch.setattr(traces, "_trace_histograms", two_counts_moved)
+    assert main(["oracle", "--end", "12", "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if "FAIL" in line]
+    # the second family of the kernel's one block at each of the 10 primes
+    assert len(failed) == 10
+    assert all(" FAIL in S_r at r=[2, 4, 6, 8]" in line for line in failed)
+    assert len(lines) == 16 * 10
 
 
 def test_cli_oracle_rejects_samples_below_one(family_file, tmp_path, capsys):
@@ -1143,7 +1187,8 @@ def test_cli_oracle_checks_every_fiber_of_a_prime_within_the_sample_count(family
     ]
 
 
-def test_cli_oracle_builds_each_prime_tables_once(family_file, tmp_path, monkeypatch, capsys):
+def test_cli_oracle_builds_each_prime_tables_once(family_file, tmp_path, monkeypatch, capsys,
+                                                  force_pool, pool_spy):
     from collections import Counter
 
     import ecmoments.traces as traces
@@ -1156,9 +1201,12 @@ def test_cli_oracle_builds_each_prime_tables_once(family_file, tmp_path, monkeyp
         return real(p)
 
     monkeypatch.setattr(traces, "trace_tables", fetched)
-    assert main(["oracle", "--families", family_file, "--start", "3", "--end", "20",
-                 "--out", str(tmp_path)]) == 0
-    assert fetches == Counter(sieve_primes(20)[2:])
+    for threads in ("1", "2"):  # in-process, then on the pool
+        fetches.clear()
+        assert main(["oracle", "--families", family_file, "--start", "3", "--end", "20",
+                     "--threads", threads, "--out", str(tmp_path)]) == 0
+        assert fetches == Counter(sieve_primes(20)[2:])
+    assert [pool["workers"] for pool in pool_spy] == [2]
 
 
 # what a command that computes no traces must not load, what no command may
@@ -1225,7 +1273,7 @@ gc.disable()  # as under entry()
 import concurrent.futures.thread, numpy.fft  # what the commands import lazily, imported first
 import ecmoments.cli, ecmoments.traces
 from ecmoments import runner
-runner._WORKER_FIBERS = 1  # --threads 2 starts the pool at any window
+runner._THREAD_MIN_P = 1  # --threads 2 starts the pool at any window
 out, steps = sys.argv[1], json.loads(sys.argv[2])
 gc.collect()
 found = []
@@ -1241,7 +1289,7 @@ def test_commands_leave_no_cyclic_garbage_that_grows_with_the_window(tmp_path):
     # primes, such as a reference cycle per prime, would grow memory on a long run
     steps = [["moments", "--threads", "1"], ["moments", "--threads", "1", "--resume"],
              ["report"], ["verify"], ["discover", "--modulus", "2,0,0"], ["oracle"],
-             ["moments", "--threads", "2"]]
+             ["moments", "--threads", "2"], ["oracle", "--threads", "2"]]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecmoments.__file__)))
     found = {}
     for end in (12, 60):  # 10 and 58 primes
@@ -1362,12 +1410,22 @@ def test_cli_moments_on_a_directory_family_file_exits_1(tmp_path, capsys):
     assert "Is a directory" in _error_line(capsys)
 
 
-def test_cli_moments_into_an_existing_file_exits_1(tmp_path, capsys):
+def test_cli_moments_into_an_existing_file_exits_1(tmp_path, monkeypatch, capsys):
+    import ecmoments.runner as runner
+
+    def unreached(*args):
+        raise AssertionError("computed before the output directory was checked")
+
+    monkeypatch.setattr(runner, "_compute_missing", unreached)
     out = tmp_path / "taken"
     out.write_text("", encoding="utf-8")
-    assert main(["moments", "--end", "4", "--out", str(out)]) == 1
+    assert main(["moments", "--end", "302", "--out", str(out)]) == 1
     assert "File exists" in _error_line(capsys)
     assert out.read_text(encoding="utf-8") == ""
+    # the check creates nothing: a run that stops while computing leaves no directory behind
+    with pytest.raises(AssertionError, match="computed before"):
+        main(["moments", "--end", "302", "--out", str(tmp_path / "new" / "out")])
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("argv", [
