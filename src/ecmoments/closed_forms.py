@@ -12,7 +12,7 @@ from .families import (
     Template3,
     match_template,
 )
-from .modular import _check_odd_prime_modulus, cached_legendre_table, legendre_symbol
+from .modular import _check_odd_prime_modulus, build_legendre_table, legendre_symbol
 
 
 class NoTemplateError(ValueError):
@@ -67,9 +67,9 @@ def cubic_char_sum(p: int) -> int:
     """
     import numpy as np
 
-    _check_odd_prime_modulus(p)
+    chi = build_legendre_table(p)  # ValueError unless p is an odd prime
     x = np.arange(p, dtype=np.int64)
-    return int(cached_legendre_table(p)[(x * x % p * x - x) % p].sum(dtype=np.int64))
+    return int(chi[(x * x % p * x - x) % p].sum(dtype=np.int64))
 
 
 def template3_predict(p: int) -> ClosedFormPrediction:
@@ -79,8 +79,7 @@ def template3_predict(p: int) -> ClosedFormPrediction:
     """
     if p <= 3:
         raise ValueError("closed form needs p > 3, got %r" % (p,))
-    _check_odd_prime_modulus(p)
-    square = cubic_char_sum(p)
+    square = cubic_char_sum(p)  # ValueError unless p is an odd prime
     s2 = p * p - p - p * legendre_symbol(-3, p) - p * legendre_symbol(12, p) - square * square
     return ClosedFormPrediction(p, True, -2 * p, s2)
 

@@ -110,7 +110,7 @@ def build_legendre_table(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def cached_legendre_table(p: int) -> np.ndarray:
-    """build_legendre_table(p), kept for the 16 most recently used primes."""
+    """build_legendre_table(p) for 16 recent p; read only by tests, cleared by bench/run.py."""
     return build_legendre_table(p)
 
 

@@ -12,16 +12,17 @@ from .families import (DEFAULT_R_MAX, R_MAX, CurveFamily, Fiber, MomentRecord, c
 from .modular import _MAX_MODULUS, prime_index_of
 
 
-def point_count_oracle(fiber: Fiber) -> int:
-    """Count affine (x, y) with y^2 = x^3 + A x + B mod p, in O(p).
+def point_count_oracle(fibers: list[Fiber]) -> list[int]:
+    """Count affine (x, y) with y^2 = x^3 + A x + B mod p on each of `fibers`, all of one p.
 
-    Counts the square roots of every residue by squaring every y, so it is
-    independent of the character machinery; traces_mod_p must equal p minus this.
+    One O(p) table counts the square roots of every residue by squaring every y, independent of
+    chi; with one of cubes, each fiber is an O(p) gather. traces_mod_p must be p minus each count.
     """
-    p, a, b = fiber.p, fiber.A % fiber.p, fiber.B % fiber.p
+    (p,) = {fib.p for fib in fibers}  # ValueError unless the fibers share one prime
     xs = np.arange(p, dtype=np.int64)
     roots = np.bincount(xs * xs % p, minlength=p)
-    return int(roots[(xs * xs % p * xs + a * xs + b) % p].sum())
+    cubes = xs * xs % p * xs
+    return [int(roots[(cubes + fib.A % p * xs + fib.B % p) % p].sum()) for fib in fibers]
 
 
 def prime_oracle_check(
@@ -38,13 +39,15 @@ def prime_oracle_check(
         records, failed = _prime_records(families, rows, tt, R_MAX), None
     except ArithmeticError as exc:
         records, failed = None, "FAIL: %s" % (exc,)
+    fibers = [fiber_at(fam, t, p) for fam, ts in zip(families, samples) for t in ts]
+    counted = iter(zip(fibers, point_count_oracle(fibers)))
     verdicts = []
-    for f, (fam, row, ts) in enumerate(zip(families, rows, samples)):
+    for f, (row, ts) in enumerate(zip(rows, samples)):
         traces = _block_traces([row], tt)
         bad = []
         for t in ts:
-            fib, a_t = fiber_at(fam, t, p), int(traces[0, t])
-            if a_t != p - point_count_oracle(fib) or discriminant(fib) and a_t * a_t > 4 * p:
+            (fib, points), a_t = next(counted), int(traces[0, t])
+            if a_t != p - points or discriminant(fib) and a_t * a_t > 4 * p:
                 bad.append(t)
         if bad or failed:
             verdicts.append("FAIL at t=%s" % (bad,) if bad else failed)

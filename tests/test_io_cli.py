@@ -1193,19 +1193,26 @@ def test_cli_oracle_builds_each_prime_tables_once(family_file, tmp_path, monkeyp
 
     import ecmoments.traces as traces
 
-    fetches = Counter()
-    real = traces.trace_tables
+    fetches, roots = Counter(), Counter()
+    real, real_count = traces.trace_tables, traces.point_count_oracle
 
     def fetched(p):
         fetches[p] += 1
         return real(p)
 
+    def counted(fibers):  # each call builds one table of square-root counts
+        roots.update({fib.p for fib in fibers})
+        return real_count(fibers)
+
     monkeypatch.setattr(traces, "trace_tables", fetched)
+    monkeypatch.setattr(traces, "point_count_oracle", counted)
     for threads in ("1", "2"):  # in-process, then on the pool
         fetches.clear()
+        roots.clear()
         assert main(["oracle", "--families", family_file, "--start", "3", "--end", "20",
                      "--threads", threads, "--out", str(tmp_path)]) == 0
         assert fetches == Counter(sieve_primes(20)[2:])
+        assert roots == fetches
     assert [pool["workers"] for pool in pool_spy] == [2]
 
 
@@ -1324,7 +1331,7 @@ def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
 def test_verify_builds_each_legendre_table_at_most_once(monkeypatch, tmp_path, capsys):
     from collections import Counter
 
-    from ecmoments import modular
+    from ecmoments import closed_forms, modular
 
     builds = Counter()
     real = modular.build_legendre_table
@@ -1333,13 +1340,16 @@ def test_verify_builds_each_legendre_table_at_most_once(monkeypatch, tmp_path, c
         builds[p] += 1
         return real(p)
 
-    monkeypatch.setattr(modular, "build_legendre_table", counted)
+    for module in (modular, closed_forms):  # closed_forms imports it by name
+        monkeypatch.setattr(module, "build_legendre_table", counted)
     modular.cached_legendre_table.cache_clear()
     assert main(["verify", "--start", "3", "--end", "80", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     # for the Template3 character sum; the trace tables take chi from the discrete log
     assert sorted(builds) == sieve_primes(80)[2:]
     assert max(builds.values()) == 1
+    info = modular.cached_legendre_table.cache_info()
+    assert (info.hits, info.misses) == (0, 0)  # no command reads the cache
 
 
 def test_moments_accepts_family_with_many_zero_samples(tmp_path, capsys):
