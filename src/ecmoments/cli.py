@@ -12,7 +12,7 @@ from fractions import Fraction
 from .bias import residual_exponents
 from .closed_forms import verify_family
 from .discovery import ROBUST_FLOOR, SOME_FALSIFIED, fit_classes, fit_plan, summarize
-from .families import R_MAX, MomentRecord, match_template
+from .families import R_MAX, match_template
 from .io import (
     FamilyParseError,
     RunConfig,
@@ -21,7 +21,7 @@ from .io import (
     moments_csv_path,
 )
 from .report import report_txt_path, run_report
-from .runner import compute_records, oracle_verdicts, run_moments
+from .runner import compute_records, oracle_verdicts, run_moments, stored_or_computed
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -121,22 +121,17 @@ def _parse_modulus(raw: str) -> tuple[int, int, int]:
     return e, f, g
 
 
-def _records_per_family(families, primes: list[int], workers: int) -> list[list[MomentRecord]]:
-    """S1 and S2 of each family at `primes`, from one compute_records call."""
-    records = compute_records(families, primes, 2, workers)
-    n = len(primes)
-    return [records[i * n : (i + 1) * n] for i in range(len(families))]
-
-
 def _cmd_discover(args) -> int:
     cfg = _config(args, r_max=2, modulus_exponents=_parse_modulus(args.modulus))
     families = load_families(cfg)
-    # only the primes some class's fit reads are computed: none when every class is too small
+    # S2 only at the primes some class's fit reads, none when every class is too small: from
+    # moments.csv where it holds the pair, computed where it does not
     plan = fit_plan(cfg.primes(), *cfg.modulus_exponents, robust=args.robust, floor=args.floor)
     read = plan.read_primes()
+    records = stored_or_computed(cfg, families, read)
     status = EXIT_OK
-    for fam, records in zip(families, _records_per_family(families, read, cfg.workers)):
-        fits = fit_classes(plan, dict(zip(read, records)))
+    for fam in families:
+        fits = fit_classes(plan, {p: records[(fam.name, p)] for p in read})
         verdict = summarize(fits)
         print("family %s: %s (mod %d)" % (fam.name, verdict, plan.modulus))
         for fit in fits:
@@ -161,8 +156,11 @@ def _cmd_verify(args) -> int:
     cfg = _config(args, r_max=2)
     families = load_families(cfg)
     templated = [fam for fam in families if match_template(fam) is not None]
-    per_family = _records_per_family(templated, cfg.primes(), cfg.workers)
-    by_name = {fam.name: records for fam, records in zip(templated, per_family)}
+    primes = cfg.primes()
+    # computed, never read from moments.csv: verify exists to check the engine
+    records = compute_records(templated, primes, 2, cfg.workers)
+    n = len(primes)
+    by_name = {fam.name: records[i * n : (i + 1) * n] for i, fam in enumerate(templated)}
     status = EXIT_OK
     for fam in families:
         if fam.name not in by_name:

@@ -43,13 +43,15 @@ def _map_primes(task, primes, workers: int) -> dict:
 
 
 def _compute_missing(
-    families: list[CurveFamily], missing: dict[int, list[int]], r_max: int, workers: int
+    families: list[CurveFamily], primes: list[int], have: dict, r_max: int, workers: int
 ) -> dict[tuple[str, int], MomentRecord]:
-    """Records keyed by (family, p) for every p -> family positions in `missing`.
+    """Records keyed by (family, p) of every family at each of `primes` whose pair `have` lacks.
 
-    One task per prime covers all of that prime's families, so its trace tables
-    are built once. The trace engine (and numpy) is imported only when needed.
+    One task per prime covers all of that prime's missing families, so its trace
+    tables are built once. The trace engine (and numpy) is imported only when needed.
     """
+    missing = {p: [i for i, fam in enumerate(families) if (fam.name, p) not in have]
+               for p in primes}
     todo = [p for p, positions in missing.items() if positions]
     if not todo:
         return {}
@@ -84,9 +86,64 @@ def compute_records(
     """
     if len({fam.name for fam in families}) < len(families):
         raise ValueError("records are keyed by family name, so the names must be distinct")
-    everything = {p: list(range(len(families))) for p in primes}
-    done = _compute_missing(families, everything, r_max, workers)
+    done = _compute_missing(families, primes, {}, r_max, workers)
     return [done[(fam.name, p)] for fam in families for p in primes]
+
+
+def stored_records(
+    config: RunConfig, families: list[CurveFamily], primes: list[int]
+) -> dict[tuple[str, int], MomentRecord]:
+    """Rows of <out>/moments.csv keyed by (family, p), for `families` at `primes`.
+
+    Rows are trusted by family name: the CSV records no coefficients. A missing
+    file, or an out_dir that is not a directory, holds no rows. With resume on,
+    the CSV must hold exactly S1..S_r_max, and the rows that the rewrite drops
+    are warned of on stderr. Otherwise a CSV of fewer moments gives no rows,
+    and rows not asked for are passed over in silence: nothing is rewritten.
+    """
+    path = moments_csv_path(config)
+    try:
+        file_r_max, existing = read_moments_csv(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return {}
+    if config.resume and file_r_max != config.r_max:
+        raise ValidationError(
+            "%s holds S1..S%d but this run wants S1..S%d" % (path, file_r_max, config.r_max)
+        )
+    if file_r_max < config.r_max:
+        return {}
+    names = {fam.name for fam in families}
+    wanted = set(primes)
+    have: dict[tuple[str, int], MomentRecord] = {}
+    outside = 0
+    unknown: dict[str, None] = {}  # first-seen order
+    for rec in existing:
+        if rec.family not in names:
+            unknown[rec.family] = None
+        elif rec.p in wanted:
+            have[(rec.family, rec.p)] = rec
+        else:
+            outside += 1
+    if config.resume:
+        for name in unknown:
+            print("warning: dropping CSV rows for unknown family %r" % (name,), file=sys.stderr)
+        if outside:
+            print("warning: dropping %d CSV rows outside prime indices %d..%d"
+                  % (outside, config.start, config.end), file=sys.stderr)
+    return have
+
+
+def stored_or_computed(
+    config: RunConfig, families: list[CurveFamily], primes: list[int]
+) -> dict[tuple[str, int], MomentRecord]:
+    """Records keyed by (family, p) of every family at `primes`, holding S1..S_r_max at least.
+
+    The pairs stored_records finds are read from <out>/moments.csv and the rest
+    computed. With no primes, no CSV is read.
+    """
+    have = stored_records(config, families, primes) if primes else {}
+    have.update(_compute_missing(families, primes, have, config.r_max, config.workers))
+    return have
 
 
 def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
@@ -100,39 +157,10 @@ def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
     families = load_families(config)
     path = moments_csv_path(config)
     primes = config.primes()
-    have: dict[tuple[str, int], MomentRecord] = {}
-    if config.resume:
-        try:
-            file_r_max, existing = read_moments_csv(path)
-        except FileNotFoundError:
-            existing = []
-            file_r_max = config.r_max
-        if file_r_max != config.r_max:
-            raise ValidationError(
-                "%s holds S1..S%d but this run wants S1..S%d"
-                % (path, file_r_max, config.r_max)
-            )
-        names = {fam.name for fam in families}
-        window = set(primes)
-        outside = 0
-        unknown: dict[str, None] = {}  # first-seen order
-        for rec in existing:
-            if rec.family not in names:
-                unknown[rec.family] = None
-            elif rec.p in window:
-                have[(rec.family, rec.p)] = rec
-            else:
-                outside += 1
-        for name in unknown:
-            print("warning: dropping CSV rows for unknown family %r" % (name,), file=sys.stderr)
-        if outside:
-            print("warning: dropping %d CSV rows outside prime indices %d..%d"
-                  % (outside, config.start, config.end), file=sys.stderr)
-    missing = {p: [i for i, fam in enumerate(families) if (fam.name, p) not in have]
-               for p in primes}
+    have = stored_records(config, families, primes) if config.resume else {}
     if Path(path).parent.exists():  # a file in its place raises here, before any prime is computed
         Path(path).parent.mkdir(exist_ok=True)
-    have.update(_compute_missing(families, missing, config.r_max, config.workers))
+    have.update(_compute_missing(families, primes, have, config.r_max, config.workers))
     ordered = [have[(fam.name, p)] for fam in families for p in primes]
     write_moments_csv(path, ordered, config.r_max)
     return path, ordered

@@ -1031,14 +1031,9 @@ def test_cli_discover_computes_only_what_its_fits_read(tmp_path, capsys, start, 
                                                                      robust, floor)
 
 
-@pytest.mark.parametrize("argv, computed", [
-    (["--modulus", "2,0,0", "--end", "12"], [11, 13, 17, 19, 23, 29, 31, 37]),  # not 5 or 7
-    # after 5, 7, 11 and 13 are dropped, class 3 holds only 19, 23 and 31
-    (["--modulus", "2,0,0", "--end", "13", "--robust", "--floor", "4"], [17, 29, 37, 41]),
-    (["--end", "12"], []),  # mod 2160, every class holds one prime
-])
-def test_cli_discover_builds_tables_for_the_read_primes_only(monkeypatch, tmp_path, capsys,
-                                                             argv, computed):
+def _discover_fetches(monkeypatch, capsys, argv, out: str):
+    """The primes whose trace tables `discover --out out` + argv fetches, with its stdout,
+    stderr and exit code."""
     from collections import Counter
 
     import ecmoments.traces as traces
@@ -1051,15 +1046,86 @@ def test_cli_discover_builds_tables_for_the_read_primes_only(monkeypatch, tmp_pa
         return real(p)
 
     monkeypatch.setattr(traces, "trace_tables", fetched)
-    assert main(["discover", "--out", str(tmp_path)] + argv) in (0, 2)
-    capsys.readouterr()
+    rc = main(["discover", "--out", out] + argv)
+    monkeypatch.setattr(traces, "trace_tables", real)
+    return fetches, capsys.readouterr(), rc
+
+
+@pytest.mark.parametrize("argv, computed", [
+    (["--modulus", "2,0,0", "--end", "12"], [11, 13, 17, 19, 23, 29, 31, 37]),  # not 5 or 7
+    # after 5, 7, 11 and 13 are dropped, class 3 holds only 19, 23 and 31
+    (["--modulus", "2,0,0", "--end", "13", "--robust", "--floor", "4"], [17, 29, 37, 41]),
+    (["--end", "12"], []),  # mod 2160, every class holds one prime
+])
+def test_cli_discover_builds_tables_for_the_read_primes_only(monkeypatch, tmp_path, capsys,
+                                                             argv, computed):
+    from collections import Counter
+
+    fetches, _, rc = _discover_fetches(monkeypatch, capsys, argv, str(tmp_path))
+    assert rc in (0, 2)
     assert fetches == Counter(computed)
+
+
+@pytest.mark.parametrize("stored, argv, computed", [
+    # a moments.csv that holds S2 at every read prime: nothing is computed
+    (["--end", "40"], ["--modulus", "2,0,0", "--end", "12"], []),
+    (["--end", "40", "--rmax", "2"], ["--modulus", "2,0,0", "--end", "12", "--threads", "2"], []),
+    (["--start", "5", "--end", "12"], ["--modulus", "2,0,0", "--end", "12"], []),
+    (["--end", "40"], ["--modulus", "2,1,0", "--end", "40"], []),
+    # one that stops at the 20th prime, 71: only the read primes above it are computed
+    (["--end", "20"], ["--modulus", "2,0,0", "--end", "40"], sieve_primes(40)[20:]),
+    # rows without S2 are not read
+    (["--end", "40", "--rmax", "1"], ["--modulus", "2,0,0", "--end", "12"],
+     [11, 13, 17, 19, 23, 29, 31, 37]),
+    # nor are rows of other families
+    (["--end", "40", "--families", "FAMILY_FILE"], ["--modulus", "2,0,0", "--end", "12"],
+     [11, 13, 17, 19, 23, 29, 31, 37]),
+])
+def test_cli_discover_computes_only_the_pairs_moments_csv_lacks(monkeypatch, tmp_path, capsys,
+                                                                family_file, stored, argv,
+                                                                computed):
+    from collections import Counter
+
+    _, expected, expected_rc = _discover_fetches(monkeypatch, capsys, argv,
+                                                 str(tmp_path / "empty"))
+    out = str(tmp_path / "out")
+    stored = [family_file if arg == "FAMILY_FILE" else arg for arg in stored]
+    assert main(["moments", "--out", out] + stored) == 0
+    capsys.readouterr()
+    fetches, captured, rc = _discover_fetches(monkeypatch, capsys, argv, out)
+    assert fetches == Counter(computed)
+    # the same lines and exit code as with no CSV, and nothing said of the rows not read
+    assert (captured, rc) == (expected, expected_rc)
+    assert os.listdir(out) == ["moments.csv"]
+
+
+def test_cli_discover_reads_moments_csv_as_report_does(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["discover", "--modulus", "2,0,0", "--end", "12"]
+    assert main(argv + ["--out", str(tmp_path / "empty")]) == 2
+    expected = capsys.readouterr().out
+    assert main(["moments", "--end", "12", "--rmax", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    csv_path = out / "moments.csv"
+    lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # a torn final row is dropped with report's warning, and its pair computed
+    csv_path.write_text("".join(lines[:-1]) + lines[-1][:8], encoding="utf-8")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        expected, "warning: %s: dropped malformed final row at line %d\n" % (csv_path, len(lines)))
+    # a malformed row with rows after it fails the command
+    csv_path.write_text("".join(lines[:5]) + "junk\n" + "".join(lines[5:]), encoding="utf-8")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert _error_line(capsys) == "error: %s: malformed row at line 6" % (csv_path,)
+    # an --out that is a file holds no rows
+    assert main(argv + ["--out", str(csv_path)]) == 2
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_cli_discover_rejects_a_negative_floor_before_computing(monkeypatch, tmp_path, capsys):
     import ecmoments.cli as cli
 
-    monkeypatch.setattr(cli, "compute_records", None)  # a call would raise TypeError
+    monkeypatch.setattr(cli, "stored_or_computed", None)  # a call would raise TypeError
     assert main(["discover", "--floor", "-1", "--end", "12", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr() == ("", "error: floor must be nonnegative, got -1\n")
 
@@ -1193,8 +1259,8 @@ def test_cli_oracle_builds_each_prime_tables_once(family_file, tmp_path, monkeyp
 
     import ecmoments.traces as traces
 
-    fetches, roots = Counter(), Counter()
-    real, real_count = traces.trace_tables, traces.point_count_oracle
+    fetches, roots, sums = Counter(), Counter(), Counter()
+    real, real_count, real_sums = traces.trace_tables, traces.point_count_oracle, traces._power_sums
 
     def fetched(p):
         fetches[p] += 1
@@ -1204,15 +1270,22 @@ def test_cli_oracle_builds_each_prime_tables_once(family_file, tmp_path, monkeyp
         roots.update({fib.p for fib in fibers})
         return real_count(fibers)
 
+    def summed(counts, p, r_max):  # each call builds one table of powers
+        sums[p] += 1
+        return real_sums(counts, p, r_max)
+
     monkeypatch.setattr(traces, "trace_tables", fetched)
     monkeypatch.setattr(traces, "point_count_oracle", counted)
+    monkeypatch.setattr(traces, "_power_sums", summed)
     for threads in ("1", "2"):  # in-process, then on the pool
-        fetches.clear()
-        roots.clear()
+        for counter in (fetches, roots, sums):
+            counter.clear()
         assert main(["oracle", "--families", family_file, "--start", "3", "--end", "20",
                      "--threads", threads, "--out", str(tmp_path)]) == 0
         assert fetches == Counter(sieve_primes(20)[2:])
         assert roots == fetches
+        # one call for the records, one for the own rows of both families
+        assert sums == Counter({p: 2 for p in fetches})
     assert [pool["workers"] for pool in pool_spy] == [2]
 
 
@@ -1268,10 +1341,16 @@ def test_small_windows_compute_without_starting_the_pool(tmp_path):
 
 
 def test_discover_with_no_class_to_fit_leaves_numpy_unloaded(tmp_path):
-    # at the default modulus 2160 every class of the window holds one prime
-    loaded = _probe_imports([("discover", ["discover", "--end", "12", "--out", str(tmp_path)],
-                              [0])])
-    assert not set(ENGINE_MODULES + NEVER_MODULES) & set(loaded["discover"])
+    covered = str(tmp_path / "covered")
+    assert main(["moments", "--end", "40", "--out", covered]) == 0
+    # at the default modulus 2160 every class of the window holds one prime; mod 4 every
+    # prime the fits read has its S2 in moments.csv
+    loaded = _probe_imports([
+        ("discover", ["discover", "--end", "12", "--out", str(tmp_path / "empty")], [0]),
+        ("covered", ["discover", "--modulus", "2,0,0", "--end", "12", "--out", covered], [2]),
+    ])
+    for step in ("discover", "covered"):
+        assert not set(ENGINE_MODULES + NEVER_MODULES) & set(loaded[step]), step
 
 
 CYCLE_PROBE = """\
@@ -1309,16 +1388,17 @@ def test_commands_leave_no_cyclic_garbage_that_grows_with_the_window(tmp_path):
 
 
 def test_verify_and_discover_compute_once(monkeypatch, tmp_path, capsys):
-    import ecmoments.cli as cli
+    import ecmoments.runner as runner
 
     calls = []
-    real = cli.compute_records
+    real = runner._compute_missing
 
     def counted(families, *args):
         calls.append(len(families))
         return real(families, *args)
 
-    monkeypatch.setattr(cli, "compute_records", counted)
+    monkeypatch.setattr(runner, "_compute_missing", counted)
+    # no moments.csv in --out, so discover computes every pair its fits read
     window = ["--start", "3", "--end", "12", "--threads", "2", "--out", str(tmp_path)]
     assert main(["verify"] + window) == 0
     assert main(["discover", "--modulus", "2,0,0"] + window) in (0, 2)
