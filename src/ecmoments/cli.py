@@ -13,13 +13,7 @@ from .bias import residual_exponents
 from .closed_forms import verify_family
 from .discovery import ROBUST_FLOOR, SOME_FALSIFIED, fit_classes, fit_plan, summarize
 from .families import R_MAX, match_template
-from .io import (
-    FamilyParseError,
-    RunConfig,
-    ValidationError,
-    load_families,
-    moments_csv_path,
-)
+from .io import RunConfig, ValidationError, load_families, moments_csv_path
 from .report import report_txt_path, run_report
 from .runner import compute_records, oracle_verdicts, run_moments, stored_or_computed
 
@@ -158,9 +152,9 @@ def _cmd_verify(args) -> int:
     templated = [fam for fam in families if match_template(fam) is not None]
     primes = cfg.primes()
     # computed, never read from moments.csv: verify exists to check the engine
-    records = compute_records(templated, primes, 2, cfg.workers)
-    n = len(primes)
-    by_name = {fam.name: records[i * n : (i + 1) * n] for i, fam in enumerate(templated)}
+    by_name = {fam.name: [] for fam in templated}
+    for rec in compute_records(templated, primes, 2, cfg.workers):
+        by_name[rec.family].append(rec)
     status = EXIT_OK
     for fam in families:
         if fam.name not in by_name:
@@ -186,7 +180,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.samples < 1:
         raise ValidationError("--samples must be >= 1, got %r" % (args.samples,))
-    cfg = _config(args, r_max=1)
+    cfg = _config(args)
     families = load_families(cfg)
     primes = cfg.primes()
     every = max(61, args.samples)  # primes up to this have every fiber checked
@@ -219,7 +213,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # stdout closed early: entry() ends the process quietly
         raise
-    except (FamilyParseError, ValidationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # FamilyParseError and ValidationError among them
         print("error: %s" % (exc,), file=sys.stderr)
         return EXIT_INVALID
     except ArithmeticError as exc:  # a failed certificate: Birch, Hasse, S1 or the FFT check

@@ -47,8 +47,6 @@ def sieve_primes(count: int) -> list[int]:
     """First `count` primes, ascending, by sieve of Eratosthenes."""
     if count < 1:
         return []
-    if count < 6:
-        return [2, 3, 5, 7, 11][:count]
     mask = _prime_mask(nth_prime_bound(count))
     return list(islice(compress(range(len(mask)), mask), count))
 
@@ -77,7 +75,8 @@ def prime_indices(ps) -> dict[int, int]:
 
 
 def _check_odd_prime_modulus(p: int) -> None:
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+    """ValueError unless p is an odd prime, decided on the shared mask (grown to p if need be)."""
+    if not isinstance(p, int) or p < 3 or not _prime_mask(p)[p]:
         raise ValueError("modulus must be an odd prime, got %r" % (p,))
 
 
@@ -99,7 +98,6 @@ def build_legendre_table(p: int) -> np.ndarray:
     import numpy as np
 
     _check_odd_prime_modulus(p)
-    prime_index_of(p)  # raises on odd composite p
     chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)

@@ -45,16 +45,19 @@ def _map_primes(task, primes, workers: int) -> dict:
 def _compute_missing(
     families: list[CurveFamily], primes: list[int], have: dict, r_max: int, workers: int
 ) -> dict[tuple[str, int], MomentRecord]:
-    """Records keyed by (family, p) of every family at each of `primes` whose pair `have` lacks.
+    """Fill `have`, keyed by (family, p), with every family's records at `primes` that it lacks.
 
-    One task per prime covers all of that prime's missing families, so its trace
+    Returns `have`. Records are keyed by family name, so ValueError when two families
+    share one. One task per prime covers all of that prime's missing families, so its trace
     tables are built once. The trace engine (and numpy) is imported only when needed.
     """
+    if len({fam.name for fam in families}) < len(families):
+        raise ValueError("records are keyed by family name, so the names must be distinct")
     missing = {p: [i for i, fam in enumerate(families) if (fam.name, p) not in have]
                for p in primes}
     todo = [p for p, positions in missing.items() if positions]
     if not todo:
-        return {}
+        return have
     from .traces import coefficient_rows, prime_moment_sums
 
     rows = coefficient_rows(families)
@@ -64,7 +67,8 @@ def _compute_missing(
                                  [rows[i] for i in missing[p]])
 
     done = _map_primes(prime_records, todo, workers)
-    return {(rec.family, rec.p): rec for recs in done.values() for rec in recs}
+    have.update(((rec.family, rec.p), rec) for recs in done.values() for rec in recs)
+    return have
 
 
 def oracle_verdicts(families: list[CurveFamily], samples: dict[int, list], workers: int) -> dict:
@@ -84,8 +88,6 @@ def compute_records(
     Family-major order: the primes of the first family in the order given,
     then the next family.
     """
-    if len({fam.name for fam in families}) < len(families):
-        raise ValueError("records are keyed by family name, so the names must be distinct")
     done = _compute_missing(families, primes, {}, r_max, workers)
     return [done[(fam.name, p)] for fam in families for p in primes]
 
@@ -114,19 +116,12 @@ def stored_records(
         return {}
     names = {fam.name for fam in families}
     wanted = set(primes)
-    have: dict[tuple[str, int], MomentRecord] = {}
-    outside = 0
-    unknown: dict[str, None] = {}  # first-seen order
-    for rec in existing:
-        if rec.family not in names:
-            unknown[rec.family] = None
-        elif rec.p in wanted:
-            have[(rec.family, rec.p)] = rec
-        else:
-            outside += 1
+    have = {(rec.family, rec.p): rec for rec in existing
+            if rec.family in names and rec.p in wanted}
     if config.resume:
-        for name in unknown:
+        for name in dict.fromkeys(rec.family for rec in existing if rec.family not in names):
             print("warning: dropping CSV rows for unknown family %r" % (name,), file=sys.stderr)
+        outside = sum(rec.family in names and rec.p not in wanted for rec in existing)
         if outside:
             print("warning: dropping %d CSV rows outside prime indices %d..%d"
                   % (outside, config.start, config.end), file=sys.stderr)
@@ -142,8 +137,7 @@ def stored_or_computed(
     computed. With no primes, no CSV is read.
     """
     have = stored_records(config, families, primes) if primes else {}
-    have.update(_compute_missing(families, primes, have, config.r_max, config.workers))
-    return have
+    return _compute_missing(families, primes, have, config.r_max, config.workers)
 
 
 def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
@@ -160,7 +154,7 @@ def run_moments(config: RunConfig) -> tuple[str, list[MomentRecord]]:
     have = stored_records(config, families, primes) if config.resume else {}
     if Path(path).parent.exists():  # a file in its place raises here, before any prime is computed
         Path(path).parent.mkdir(exist_ok=True)
-    have.update(_compute_missing(families, primes, have, config.r_max, config.workers))
+    _compute_missing(families, primes, have, config.r_max, config.workers)
     ordered = [have[(fam.name, p)] for fam in families for p in primes]
     write_moments_csv(path, ordered, config.r_max)
     return path, ordered

@@ -9,7 +9,7 @@ import numpy as np
 
 from .families import (DEFAULT_R_MAX, R_MAX, CurveFamily, Fiber, MomentRecord, compute_invariants,
                        discriminant, fiber_at)
-from .modular import _MAX_MODULUS, prime_index_of
+from .modular import _MAX_MODULUS, _check_odd_prime_modulus, prime_index_of
 
 
 def point_count_oracle(fibers: list[Fiber]) -> list[int]:
@@ -188,8 +188,7 @@ def trace_tables(p: int) -> TraceTables:
     if p > _MAX_MODULUS:
         raise ValueError("p=%d exceeds %d, the largest modulus whose residue products fit in int64"
                          % (p, _MAX_MODULUS))
-    if prime_index_of(p) == 1:  # raises on composite p; index 1 is p = 2
-        raise ValueError("p must be an odd prime")
+    _check_odd_prime_modulus(p)
     dtype = _table_dtype(p)
     g = _primitive_root(p)
     pw = np.ones(p, dtype=np.int64)  # pw[k] = g^k for k <= p - 1, filled by doubling

@@ -69,8 +69,9 @@ def test_template1_examples():
     assert template1_predict(1, -4, 4, 13).valid is False
     with pytest.raises(ValueError):
         template1_predict(1, -4, 0, 29)
-    with pytest.raises(ValueError):
-        template1_predict(1, -4, 4, 16)
+    for p in (16, 9, 21):
+        with pytest.raises(ValueError):
+            template1_predict(1, -4, 4, p)
 
 
 def test_template1_degenerate_mod_p_only():
@@ -114,8 +115,9 @@ def test_template2_examples():
     assert template2_predict(0, 4, 13).valid is False
     with pytest.raises(ValueError):
         template2_predict(0, 0, 17)
-    with pytest.raises(ValueError):
-        template2_predict(0, 4, 8)
+    for p in (8, 9, 21):
+        with pytest.raises(ValueError):
+            template2_predict(0, 4, p)
 
 
 def test_template2_divisor_of_leading_coefficient_is_excluded():

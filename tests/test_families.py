@@ -160,7 +160,7 @@ def test_fiber_examples():
 
 def test_fiber_modulus_validation():
     fam = corpus_family("1_0_0_-1_t")
-    for p in (2, 4, 1, 0, -5):
+    for p in (2, 4, 1, 0, -5, 9, 15):
         with pytest.raises(ValueError):
             fiber_at(fam, 0, p)
     fiber_at(fam, 0, 3)  # odd p = 3 is allowed; reduction identity still holds

@@ -44,6 +44,7 @@ from ecmoments.io import (
     moments_csv_path,
     moments_csv_text,
 )
+from ecmoments.runner import stored_or_computed
 from ecmoments.traces import MomentRecord
 
 FAMILY_JSON = """\
@@ -432,7 +433,7 @@ def test_atomic_write_files_raises_on_a_directory_at_a_target(tmp_path):
 # ---------------------------------------------------------------------- runner
 
 
-def test_compute_records_order_and_workers(family_file, force_pool):
+def test_compute_records_order_and_workers(family_file, force_pool, tmp_path):
     fams = parse_family_file(family_file)
     one = compute_records(fams, sieve_primes(10)[2:], r_max=2, workers=1)
     assert [(r.family, r.p) for r in one[:3]] == [("fam_a", 5), ("fam_a", 7), ("fam_a", 11)]
@@ -440,8 +441,11 @@ def test_compute_records_order_and_workers(family_file, force_pool):
     assert compute_records(fams, sieve_primes(10)[2:], r_max=2, workers=3) == one
     for rec in one:
         assert rec == moment_sums(next(f for f in fams if f.name == rec.family), rec.p, 2)
-    with pytest.raises(ValueError, match="distinct"):  # records are keyed by family name
+    # records are keyed by family name: every entry refuses two families with one
+    with pytest.raises(ValueError, match="distinct"):
         compute_records(fams[:1] * 2, [5, 7], r_max=2)
+    with pytest.raises(ValueError, match="distinct"):
+        stored_or_computed(RunConfig(out_dir=str(tmp_path)), fams[:1] * 2, [5, 7, 11, 13])
 
 
 def test_run_moments_and_resume(tmp_path, family_file, capsys):

@@ -94,7 +94,7 @@ def test_legendre_symbol_examples():
 
 
 def test_legendre_symbol_rejects_bad_modulus():
-    for p in (2, 4, 0, -7, 1):
+    for p in (2, 4, 0, -7, 1, 9, 15, 21):
         with pytest.raises(ValueError):
             legendre_symbol(3, p)
 
@@ -152,16 +152,18 @@ def test_linear_sum_examples():
     assert linear_legendre_sum(0, 1, 7) == 7
     assert linear_legendre_sum(3, 5, 7) == 0
     assert linear_legendre_sum(14, 3, 7) == 7 * legendre_symbol(3, 7)
-    with pytest.raises(ValueError):
-        linear_legendre_sum(1, 1, 2)
+    for p in (2, 9, 15):
+        with pytest.raises(ValueError):
+            linear_legendre_sum(1, 1, p)
 
 
 def test_quadratic_sum_examples():
     assert quadratic_legendre_sum(1, 0, 0, 5) == 4  # disc 0: (p-1) chi(a)
     assert quadratic_legendre_sum(1, 0, -1, 7) == -1  # disc 4, p does not divide
     assert quadratic_legendre_sum(7, 3, 5, 7) == linear_legendre_sum(3, 5, 7)
-    with pytest.raises(ValueError):
-        quadratic_legendre_sum(2, 0, 0, 2)
+    for p in (2, 9, 21):
+        with pytest.raises(ValueError):
+            quadratic_legendre_sum(2, 0, 0, p)
 
 
 def test_sum_lemmas_exhaustive_small():

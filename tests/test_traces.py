@@ -24,7 +24,7 @@ from ecmoments import (
     sieve_primes,
     traces_mod_p,
 )
-from ecmoments import traces
+from ecmoments import modular, traces
 from ecmoments.families import Fiber
 from ecmoments.traces import (
     _MAX_MODULUS,
@@ -605,10 +605,10 @@ def test_served_families_read_traces_only_where_p_divides_their_integers(monkeyp
 
 
 def test_moduli_beyond_int64_products_are_rejected_first(monkeypatch):
-    def no_sieve(p):
-        raise AssertionError("sieved up to %d" % (p,))
+    def no_sieve(n):
+        raise AssertionError("sieved up to %d" % (n,))
 
-    monkeypatch.setattr(traces, "prime_index_of", no_sieve)
+    monkeypatch.setattr(modular, "_prime_mask", no_sieve)
     fam = corpus_family("1_0_0_-1_t")
     p = 4294967311  # the first prime above 2^32
     for call in (lambda: prime_moment_sums([fam], p), lambda: moment_sums(fam, p),
